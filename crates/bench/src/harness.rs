@@ -1,16 +1,18 @@
 //! Shared experiment plumbing: result recording, paper-vs-measured
 //! comparison rows, and JSON series dumps.
 //!
-//! The JSON dump is hand-rolled (see [`json_string`]) so the harness
+//! The JSON dump is hand-rolled (with `telemetry::json`) so the harness
 //! has no registry dependencies and builds offline; the emitted shape
 //! matches what `serde_json` produced for these types historically:
 //! tuples as two-element arrays, structs as objects in field order.
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use wifi_core::sim::SimDuration;
-use wifi_core::telemetry::{runprof, FlightDump, HealthReport, Registry, Timeline, TimelineConfig};
+use wifi_core::telemetry::{
+    json, runprof, FlightDump, HealthReport, Registry, Timeline, TimelineConfig,
+};
 
 /// A recorded experiment: named scalar comparisons plus named series.
 #[derive(Debug, Default)]
@@ -27,36 +29,23 @@ pub struct Experiment {
     /// absorbed (see [`Experiment::absorb_flight`]). Dumped in the
     /// deterministic binary format when the binary is invoked with
     /// `--trace <path>` (optionally `--trace-filter <prefix>`); inspect
-    /// with `tracectl`.
+    /// with `simctl trace`.
     pub flight: FlightDump,
     /// Merged health reports from every run the experiment absorbed
     /// (see [`Experiment::absorb_health`]). Dumped as canonical JSON
     /// when the binary is invoked with `--health <path>`; inspect with
-    /// `healthctl`.
+    /// `simctl health`.
     pub health: HealthReport,
     /// Wall-clock throughput samples (see [`Experiment::perf`]).
     /// Written as `BENCH_simperf.json`-style JSON when the binary is
     /// invoked with `--perf <path>`. Unlike every other artifact this
     /// one is *not* deterministic — it records host wall-clock speed.
-    pub perf_samples: Vec<PerfSample>,
+    pub perf_samples: Vec<runprof::SamplePoint>,
     /// Merged timeline stores from every run the experiment absorbed
     /// (see [`Experiment::absorb_timeline`]). Dumped in the `TSL1`
     /// binary format when the binary is invoked with
-    /// `--timeline <path>`; inspect with `timectl`.
+    /// `--timeline <path>`; inspect with `simctl time`.
     pub timeline: Timeline,
-}
-
-/// One wall-clock throughput measurement: how fast the host simulated
-/// `events` discrete events (or another workload unit named by the
-/// label) in `wall_s` seconds of real time, and how much resident
-/// memory the process had claimed by then (kernel `VmHWM`; `None` on
-/// hosts without procfs).
-#[derive(Debug)]
-pub struct PerfSample {
-    pub label: String,
-    pub events: u64,
-    pub wall_s: f64,
-    pub peak_rss_bytes: Option<u64>,
 }
 
 /// One paper-vs-measured scalar.
@@ -76,37 +65,6 @@ pub struct Series {
     pub points: Vec<(f64, f64)>,
 }
 
-/// Escape a string for a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number token: finite floats as-is, non-finite as `null` (what
-/// strict JSON requires; serde_json errors on these, we degrade).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 impl Experiment {
     pub fn new(id: &str, title: &str) -> Experiment {
         // Arm the host-side run profiler as early as possible so setup
@@ -114,7 +72,7 @@ impl Experiment {
         // that changes harness behavior before `finish` — and it only
         // turns on observation, never the trajectory (the golden
         // artifact tests run with it enabled to prove that).
-        if runprof_path().is_some() {
+        if arg_value("runprof").is_some() {
             runprof::set_enabled(true);
         }
         Experiment {
@@ -195,12 +153,14 @@ impl Experiment {
     }
 
     /// Record a wall-clock throughput sample: `events` workload units
-    /// completed in `wall_s` seconds of host time. Dumped via `--perf`.
-    /// The process's peak RSS at sampling time rides along, so memory
-    /// growth across a scaling sweep (`fleet_1000x1` → `fleet_5000x8`)
-    /// is visible in the same artifact as the speed.
+    /// (discrete events, or whatever the label names) completed in
+    /// `wall_s` seconds of host time. Dumped via `--perf`. The
+    /// process's peak RSS at sampling time (kernel `VmHWM`; `None` on
+    /// hosts without procfs) rides along, so memory growth across a
+    /// scaling sweep (`fleet_1000x1` → `fleet_5000x8`) is visible in
+    /// the same artifact as the speed.
     pub fn perf(&mut self, label: impl Into<String>, events: u64, wall_s: f64) {
-        self.perf_samples.push(PerfSample {
+        self.perf_samples.push(runprof::SamplePoint {
             label: label.into(),
             events,
             wall_s,
@@ -213,28 +173,12 @@ impl Experiment {
     fn perf_json(&self) -> String {
         let mut o = String::new();
         o.push_str("{\n");
-        let _ = writeln!(o, "  \"bench\": {},", json_string(&self.id));
-        o.push_str("  \"samples\": [");
+        o.push_str("  \"bench\": ");
+        json::string(&mut o, &self.id);
+        o.push_str(",\n  \"samples\": [");
         for (i, s) in self.perf_samples.iter().enumerate() {
-            let rate = if s.wall_s > 0.0 {
-                s.events as f64 / s.wall_s
-            } else {
-                0.0
-            };
-            let rss = match s.peak_rss_bytes {
-                Some(b) => format!("{b}"),
-                None => "null".to_owned(),
-            };
-            let _ = write!(
-                o,
-                "{}\n    {{ \"label\": {}, \"events\": {}, \"wall_s\": {}, \"events_per_s\": {}, \"peak_rss_bytes\": {} }}",
-                if i == 0 { "" } else { "," },
-                json_string(&s.label),
-                s.events,
-                json_f64(s.wall_s),
-                json_f64(rate),
-                rss
-            );
+            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            s.write_json(&mut o);
         }
         if !self.perf_samples.is_empty() {
             o.push_str("\n  ");
@@ -278,101 +222,42 @@ impl Experiment {
         if let Some(parent) = path.parent() {
             let _ = fs::create_dir_all(parent);
         }
-        if let Err(e) = fs::write(&path, self.to_json()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
+        write_artifact(&path, self.to_json().as_bytes());
 
         // `--metrics <path>` (or `--metrics=<path>`): write the merged
         // metrics registry snapshot. `--trace <path>` (with an optional
         // `--trace-filter <component-prefix>`): write the merged flight
         // dump. `--health <path>`: write the merged health report as
-        // canonical JSON. All three are deterministic by construction,
-        // so two invocations of the same binary must produce identical
-        // files — scripts/ci.sh enforces exactly that. `--perf <path>`
-        // is the exception: it records wall-clock events/sec and is
-        // never byte-compared.
-        let mut trace_out: Option<String> = None;
-        let mut trace_filter: Option<String> = None;
-        let mut argv = std::env::args().skip(1);
-        while let Some(arg) = argv.next() {
-            let metrics_target = if arg == "--metrics" {
-                argv.next()
-            } else {
-                arg.strip_prefix("--metrics=").map(str::to_owned)
-            };
-            if let Some(p) = metrics_target {
-                if let Err(e) = fs::write(&p, self.metrics.to_json()) {
-                    eprintln!("warning: could not write {p}: {e}");
-                }
-                continue;
-            }
-            let health_target = if arg == "--health" {
-                argv.next()
-            } else {
-                arg.strip_prefix("--health=").map(str::to_owned)
-            };
-            if let Some(p) = health_target {
-                if let Err(e) = fs::write(&p, self.health.to_json()) {
-                    eprintln!("warning: could not write {p}: {e}");
-                }
-                continue;
-            }
-            let timeline_target = if arg == "--timeline" {
-                argv.next()
-            } else {
-                arg.strip_prefix("--timeline=").map(str::to_owned)
-            };
-            if let Some(p) = timeline_target {
-                if let Err(e) = fs::write(&p, self.timeline.to_bytes()) {
-                    eprintln!("warning: could not write {p}: {e}");
-                }
-                continue;
-            }
-            let perf_target = if arg == "--perf" {
-                argv.next()
-            } else {
-                arg.strip_prefix("--perf=").map(str::to_owned)
-            };
-            if let Some(p) = perf_target {
-                if let Err(e) = fs::write(&p, self.perf_json()) {
-                    eprintln!("warning: could not write {p}: {e}");
-                }
-            } else if arg == "--trace" {
-                trace_out = argv.next();
-            } else if let Some(p) = arg.strip_prefix("--trace=") {
-                trace_out = Some(p.to_owned());
-            } else if arg == "--trace-filter" {
-                trace_filter = argv.next();
-            } else if let Some(p) = arg.strip_prefix("--trace-filter=") {
-                trace_filter = Some(p.to_owned());
-            }
+        // canonical JSON. `--timeline <path>`: the merged TSL1 dump.
+        // All four are deterministic by construction, so two
+        // invocations of the same binary must produce identical files —
+        // scripts/ci.sh enforces exactly that. `--perf <path>` is the
+        // exception: it records wall-clock events/sec and is never
+        // byte-compared.
+        if let Some(p) = arg_value("metrics") {
+            write_artifact(&p, self.metrics.to_json().as_bytes());
         }
-        if let Some(p) = trace_out {
-            let dump = self.flight.filtered(trace_filter.as_deref());
-            if let Err(e) = fs::write(&p, dump.to_bytes()) {
-                eprintln!("warning: could not write {p}: {e}");
-            }
+        if let Some(p) = arg_value("health") {
+            write_artifact(&p, self.health.to_json().as_bytes());
+        }
+        if let Some(p) = arg_value("timeline") {
+            write_artifact(&p, &self.timeline.to_bytes());
+        }
+        if let Some(p) = arg_value("perf") {
+            write_artifact(&p, self.perf_json().as_bytes());
+        }
+        if let Some(p) = arg_value("trace") {
+            let filter = arg_value("trace-filter");
+            write_artifact(&p, &self.flight.filtered(filter.as_deref()).to_bytes());
         }
 
         // `--runprof <path>`: the host-side observability sidecar.
         // Closed out last so the report stage's own wall time makes it
-        // into the profile; inspect with `perfctl summary`.
+        // into the profile; inspect with `simctl perf summary`.
         drop(report_prof);
-        if let Some(p) = runprof_path() {
-            let samples: Vec<runprof::SamplePoint> = self
-                .perf_samples
-                .iter()
-                .map(|s| runprof::SamplePoint {
-                    label: s.label.clone(),
-                    events: s.events,
-                    wall_s: s.wall_s,
-                    peak_rss_bytes: s.peak_rss_bytes,
-                })
-                .collect();
-            let prof = runprof::snapshot();
-            if let Err(e) = fs::write(&p, prof.to_json(&self.id, &samples)) {
-                eprintln!("warning: could not write {p}: {e}");
-            }
+        if let Some(p) = arg_value("runprof") {
+            let prof = runprof::snapshot().to_json(&self.id, &self.perf_samples);
+            write_artifact(&p, prof.as_bytes());
         }
 
         let all_ok = self.comparisons.iter().all(|c| c.ok);
@@ -386,39 +271,40 @@ impl Experiment {
     pub fn to_json(&self) -> String {
         let mut o = String::new();
         o.push_str("{\n");
-        let _ = writeln!(o, "  \"id\": {},", json_string(&self.id));
-        let _ = writeln!(o, "  \"title\": {},", json_string(&self.title));
-        o.push_str("  \"comparisons\": [");
+        o.push_str("  \"id\": ");
+        json::string(&mut o, &self.id);
+        o.push_str(",\n  \"title\": ");
+        json::string(&mut o, &self.title);
+        o.push_str(",\n  \"comparisons\": [");
         for (i, c) in self.comparisons.iter().enumerate() {
-            let _ = write!(
-                o,
-                "{}\n    {{ \"metric\": {}, \"paper\": {}, \"measured\": {}, \"ok\": {} }}",
-                if i == 0 { "" } else { "," },
-                json_string(&c.metric),
-                json_string(&c.paper),
-                json_string(&c.measured),
-                c.ok
-            );
+            if i > 0 {
+                o.push(',');
+            }
+            o.push_str("\n    { \"metric\": ");
+            json::string(&mut o, &c.metric);
+            o.push_str(", \"paper\": ");
+            json::string(&mut o, &c.paper);
+            o.push_str(", \"measured\": ");
+            json::string(&mut o, &c.measured);
+            let _ = write!(o, ", \"ok\": {} }}", c.ok);
         }
         if !self.comparisons.is_empty() {
             o.push_str("\n  ");
         }
         o.push_str("],\n  \"series\": [");
         for (i, s) in self.series.iter().enumerate() {
-            let _ = write!(
-                o,
-                "{}\n    {{ \"name\": {}, \"points\": [",
-                if i == 0 { "" } else { "," },
-                json_string(&s.name)
-            );
+            if i > 0 {
+                o.push(',');
+            }
+            o.push_str("\n    { \"name\": ");
+            json::string(&mut o, &s.name);
+            o.push_str(", \"points\": [");
             for (j, (x, y)) in s.points.iter().enumerate() {
-                let _ = write!(
-                    o,
-                    "{}[{}, {}]",
-                    if j == 0 { "" } else { ", " },
-                    json_f64(*x),
-                    json_f64(*y)
-                );
+                o.push_str(if j == 0 { "[" } else { ", [" });
+                json::f64_or_null(&mut o, *x);
+                o.push_str(", ");
+                json::f64_or_null(&mut o, *y);
+                o.push(']');
             }
             o.push_str("] }");
         }
@@ -430,18 +316,33 @@ impl Experiment {
     }
 }
 
-/// `--timeline <path>` / `--timeline=<path>` from this process's argv.
-pub fn timeline_path() -> Option<String> {
+/// The value of `--<name> <v>` or `--<name>=<v>` in this process's
+/// argv (first occurrence).
+fn arg_value(name: &str) -> Option<String> {
+    let flag = format!("--{name}");
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        if arg == "--timeline" {
+        if arg == flag {
             return argv.next();
         }
-        if let Some(p) = arg.strip_prefix("--timeline=") {
-            return Some(p.to_owned());
+        if let Some(v) = arg.strip_prefix(&flag).and_then(|r| r.strip_prefix('=')) {
+            return Some(v.to_owned());
         }
     }
     None
+}
+
+/// Write one artifact file; a failed write warns and the run goes on.
+fn write_artifact(path: impl AsRef<Path>, bytes: &[u8]) {
+    let path = path.as_ref();
+    if let Err(e) = fs::write(path, bytes) {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    }
+}
+
+/// `--timeline <path>` / `--timeline=<path>` from this process's argv.
+pub fn timeline_path() -> Option<String> {
+    arg_value("timeline")
 }
 
 /// Timeline sampler config from this process's argv: `Some` iff
@@ -452,35 +353,11 @@ pub fn timeline_path() -> Option<String> {
 /// present.
 pub fn timeline_cfg() -> Option<TimelineConfig> {
     timeline_path()?;
-    let mut every = SimDuration::from_millis(100);
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let v = if arg == "--timeline-every" {
-            argv.next()
-        } else {
-            arg.strip_prefix("--timeline-every=").map(str::to_owned)
-        };
-        if let Some(ms) = v {
-            let ms: u64 = ms.parse().expect("--timeline-every wants milliseconds");
-            assert!(ms > 0, "--timeline-every wants a positive interval");
-            every = SimDuration::from_millis(ms);
-        }
-    }
-    Some(TimelineConfig::sampling(every))
-}
-
-/// `--runprof <path>` / `--runprof=<path>` from this process's argv.
-fn runprof_path() -> Option<String> {
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        if arg == "--runprof" {
-            return argv.next();
-        }
-        if let Some(p) = arg.strip_prefix("--runprof=") {
-            return Some(p.to_owned());
-        }
-    }
-    None
+    let ms: u64 = arg_value("timeline-every").map_or(100, |ms| {
+        ms.parse().expect("--timeline-every wants milliseconds")
+    });
+    assert!(ms > 0, "--timeline-every wants a positive interval");
+    Some(TimelineConfig::sampling(SimDuration::from_millis(ms)))
 }
 
 /// Relative agreement check: |measured − paper| ≤ tol·|paper|.

@@ -5,7 +5,7 @@
 //!
 //! | module | contents | paper section |
 //! |---|---|---|
-//! | [`sim`] | discrete-event kernel: time, events, RNG, tracing | — |
+//! | [`sim`] | discrete-event kernel: time, events, RNG | — |
 //! | [`phy`] | channels/regulatory, MCS rates, airtime, propagation, PER, rate selection | §3, §4.1 |
 //! | [`mac`] | EDCA, backoff/contention, A-MPDU + BlockAck, RTS/CTS, medium sim | §3.2.4, §5.1 |
 //! | [`tcp`] | sender (Reno/CUBIC, RTO, SACK), receiver (delack, rwnd) | §5.1 |

@@ -142,14 +142,6 @@ pub fn resolve(queues: &mut [&mut Backoff], rng: &mut Rng) -> Option<ContentionO
     })
 }
 
-/// Average number of backoff slots a queue waits per transmit opportunity
-/// under saturation with `n` contenders — analytic helper used to seed
-/// efficiency estimates (Bianchi-style approximation: CWmin/2 shrunk by
-/// contention is ignored; we only need a representative constant).
-pub fn mean_backoff_slots(cw_min: u32) -> f64 {
-    cw_min as f64 / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -381,7 +381,6 @@ pub struct Testbed {
     next_timeline: SimTime,
     udp_seq: u64,
     next_beacon: SimTime,
-    dbg_next_ms: u64,
     /// Per-flow (last seq_tcp seen, when it last advanced) — drives the
     /// bad-hint liveness repair (see `fastack::Agent::force_repair`).
     repair_watch: Vec<(u64, SimTime)>,
@@ -626,7 +625,6 @@ impl Testbed {
             next_timeline: SimTime::ZERO,
             udp_seq: 0,
             next_beacon: SimTime::ZERO,
-            dbg_next_ms: 0,
             repair_watch: vec![(0, SimTime::ZERO); n_clients],
             metrics,
             flight,
@@ -671,8 +669,6 @@ impl Testbed {
         // a disabled no-op unless the binary was started with --runprof.
         let _prof = telemetry::runprof::span("testbed.run");
         let end = SimTime::ZERO + duration;
-        // Resolved once: an env probe per medium round is measurable.
-        let dbg_timeline = std::env::var_os("IMC_DEBUG").is_some();
         match self.cfg.traffic {
             Traffic::Tcp => {
                 // Kick every sender.
@@ -822,25 +818,6 @@ impl Testbed {
                         }
                     }
                     _ => break,
-                }
-            }
-            // Debug timeline (env IMC_DEBUG=1): 100 ms snapshots.
-            if dbg_timeline {
-                let now = self.queue.now();
-                if now.as_millis() >= self.dbg_next_ms {
-                    self.dbg_next_ms = now.as_millis() + 100;
-                    let q0: usize = self.aps[0].queues.iter().map(|q| q.len()).sum();
-                    let p0: usize = self.aps[0].prio.iter().map(|q| q.len()).sum();
-                    let st = self.aps[0].agent.flow_state(FlowId(1));
-                    eprintln!(
-                        "[{:>6}ms] q={q0} prio={p0} snd(una={} nxt-una={} rwnd={} cwnd={:.0}) st={:?}",
-                        now.as_millis(),
-                        self.senders[0].acked_bytes(),
-                        self.senders[0].flight_size(),
-                        self.senders[0].peer_rwnd(),
-                        self.senders[0].cwnd_segments(),
-                        st.map(|s| (s.seq_high, s.seq_exp, s.seq_fack, s.seq_tcp, s.q_seq.len(), s.holes.len()))
-                    );
                 }
             }
             // 4. Timeline tick (subsumes the old ad-hoc Fig. 14 cwnd
@@ -1247,16 +1224,6 @@ impl Testbed {
             self.g_busy,
             i64::try_from(self.busy.as_nanos()).unwrap_or(i64::MAX),
         );
-        if std::env::var_os("IMC_HEALTH_DEBUG").is_some() {
-            eprintln!(
-                "[health {:>6}ms] aggs={:?} frames={:?} busy={:?} timeouts={:?}",
-                at.as_millis(),
-                self.metrics.counter_value("mac.ap0.ampdu.aggregates"),
-                self.metrics.counter_value("mac.ap0.ampdu.frames"),
-                self.metrics.gauge_value("health.air.busy_ns"),
-                self.metrics.gauge_value("health.tcp.timeouts"),
-            );
-        }
         if !self.qoe.is_empty() {
             for (c, q) in self.qoe.iter().enumerate() {
                 let score = q.score(qoe::OPERATIONAL_WINDOW);

@@ -27,6 +27,7 @@
 use sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use telemetry::health::HealthReport;
+use telemetry::json::{self, Cursor};
 use telemetry::streaming::RollingWindow;
 
 /// First probe flow id. Probe ids must fit the flight recorder's
@@ -422,24 +423,30 @@ impl QoeRollup {
     /// Canonical byte-stable JSON (fixed key order, `{:?}` floats —
     /// the same conventions as every snapshot type in the stack).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"qoe\":{");
-        out.push_str(&format!("\"n\":{},", self.n));
-        out.push_str(&format!("\"mean_score\":{:?},", self.mean_score));
-        out.push_str(&format!("\"degraded\":{},", self.degraded));
-        out.push_str(&format!("\"critical\":{},", self.critical));
-        out.push_str("\"by_rule\":[");
+        let mut out = format!("{{\"qoe\":{{\"n\":{},\"mean_score\":", self.n);
+        json::f64(&mut out, self.mean_score);
+        out.push_str(&format!(
+            ",\"degraded\":{},\"critical\":{},\"by_rule\":[",
+            self.degraded, self.critical
+        ));
         for (i, (rule, count)) in self.by_rule.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("[{},{}]", json_string(rule), count));
+            out.push('[');
+            json::string(&mut out, rule);
+            out.push_str(&format!(",{count}]"));
         }
         out.push_str("],\"worst\":[");
         for (i, (label, score)) in self.worst.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("[{},{:?}]", json_string(label), score));
+            out.push('[');
+            json::string(&mut out, label);
+            out.push(',');
+            json::f64(&mut out, *score);
+            out.push(']');
         }
         out.push_str("]}}");
         out
@@ -498,126 +505,6 @@ impl QoeRollup {
             by_rule,
             worst,
         })
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal strict parser over the canonical JSON (same approach as
-/// `telemetry::health`'s: the format is machine-written, so anything
-/// unexpected is an error, not something to recover from).
-struct Cursor<'a> {
-    s: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor { s }
-    }
-
-    fn lit(&mut self, expect: &str) -> Result<(), String> {
-        match self.s.strip_prefix(expect) {
-            Some(rest) => {
-                self.s = rest;
-                Ok(())
-            }
-            None => Err(format!(
-                "expected `{expect}` at `{}`",
-                &self.s[..self.s.len().min(32)]
-            )),
-        }
-    }
-
-    fn eat(&mut self, tok: &str) -> bool {
-        if let Some(rest) = self.s.strip_prefix(tok) {
-            self.s = rest;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn take_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
-        let end = self
-            .s
-            .char_indices()
-            .find(|&(_, c)| !pred(c))
-            .map_or(self.s.len(), |(i, _)| i);
-        let (tok, rest) = self.s.split_at(end);
-        self.s = rest;
-        tok
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let tok = self.take_while(|c| c.is_ascii_digit());
-        tok.parse().map_err(|e| format!("bad integer `{tok}`: {e}"))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let tok = self.take_while(|c| {
-            c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E' | 'i' | 'n' | 'f' | 'N')
-        });
-        tok.parse().map_err(|e| format!("bad float `{tok}`: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.lit("\"")?;
-        let mut out = String::new();
-        let mut chars = self.s.char_indices();
-        loop {
-            let Some((i, c)) = chars.next() else {
-                return Err("unterminated string".into());
-            };
-            match c {
-                '"' => {
-                    self.s = &self.s[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let Some((_, h)) = chars.next() else {
-                                return Err("truncated \\u escape".into());
-                            };
-                            code = code * 16
-                                + h.to_digit(16).ok_or_else(|| "bad \\u escape".to_string())?;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad codepoint")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        if self.s.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "trailing data `{}`",
-                &self.s[..self.s.len().min(32)]
-            ))
-        }
     }
 }
 
@@ -850,6 +737,14 @@ mod tests {
         // Corruption is an error, not a silent default.
         assert!(QoeRollup::parse(&js[..js.len() - 1]).is_err());
         assert!(QoeRollup::parse(&format!("{js} ")).is_err());
+    }
+
+    #[test]
+    fn rollup_parse_rejects_multibyte_garbage_without_panicking() {
+        let tail = format!("a{}", "é".repeat(40));
+        let js = QoeRollup::default().to_json();
+        assert!(QoeRollup::parse(&(js + &tail)).is_err());
+        assert!(QoeRollup::parse(&tail).is_err());
     }
 
     proptest! {

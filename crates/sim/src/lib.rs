@@ -7,8 +7,9 @@
 //!   over the domain's event type;
 //! * [`Rng`] — a self-contained xoshiro256\*\* generator with the
 //!   distributions the workloads need (uniform, exponential, normal,
-//!   Poisson, Zipf, weighted choice);
-//! * [`Tracer`] — structured trace records with pluggable sinks.
+//!   Poisson, Zipf, weighted choice).
+//!
+//! Packet-level tracing lives one layer up, in `telemetry::flight`.
 //!
 //! Design rules (see DESIGN.md §4): no wall-clock access, no global
 //! state, single-threaded, and one seed reproduces one run bit-for-bit.
@@ -30,9 +31,7 @@ pub mod queue;
 pub mod rng;
 pub mod sanitize;
 pub mod time;
-pub mod trace;
 
 pub use queue::{EventId, EventQueue, QueueStats};
 pub use rng::{derive_stream_seed, Rng};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Counting, Memory, MemoryTracer, Stderr, TraceEvent, TraceKind, TraceSink, Tracer};

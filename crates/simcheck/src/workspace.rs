@@ -1,6 +1,6 @@
 //! Workspace walking, per-crate rule exemptions, and the scan driver.
 //!
-//! simcheck is offline and dependency-free: it finds every `.rs` file
+//! simcheck is offline: it finds every `.rs` file
 //! under the workspace's source roots with `std::fs` alone (no cargo
 //! metadata, no registry), attributes each file to its crate by path,
 //! and applies the rule catalog minus that crate's exemptions. Files are
@@ -11,6 +11,7 @@ use crate::lexer::lex;
 use crate::rules::{check, Diagnostic, Rule};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use telemetry::json;
 
 /// Which rules are switched off for a crate, and why. The rationale per
 /// entry is documented in DESIGN.md ("Determinism rules").
@@ -148,36 +149,21 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
         if i > 0 {
             s.push(',');
         }
+        s.push_str("\n    {\"file\": ");
+        json::string(&mut s, &d.file);
         s.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.file),
+            ", \"line\": {}, \"rule\": \"{}\", \"message\": ",
             d.line,
-            d.rule.id(),
-            json_escape(&d.message)
+            d.rule.id()
         ));
+        json::string(&mut s, &d.message);
+        s.push('}');
     }
     if !diags.is_empty() {
         s.push_str("\n  ");
     }
     s.push_str(&format!("],\n  \"count\": {}\n}}\n", diags.len()));
     s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -212,7 +198,7 @@ mod tests {
             "telemetry",
             "fleet",
             "simcheck",
-            "healthctl",
+            "simctl",
             "imc17-ac",
         ] {
             assert!(!rules_for(cold).contains(&Rule::UnwrapInLib), "{cold}");
@@ -251,7 +237,7 @@ mod tests {
         let j = to_json(&diags);
         assert!(j.contains("\"count\": 1"));
         assert!(j.contains("a\\\"b.rs"));
-        assert!(j.contains("x\\ny"));
+        assert!(j.contains("x\\u000ay"));
         assert!(to_json(&[]).contains("\"count\": 0"));
     }
 }

@@ -90,7 +90,7 @@ fn unwrap_in_lib_bad_and_clean() {
     // Cold crates are exempt: panicking on malformed input is fine in
     // tooling.
     assert!(scan_source(
-        "crates/healthctl/src/lib.rs",
+        "crates/simctl/src/lib.rs",
         "fn f(x: Option<u8>) -> u8 { x.unwrap() }"
     )
     .is_empty());

@@ -1,6 +1,6 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match healthctl::run(&args) {
+    match simctl::run(&args) {
         Ok((out, code)) => {
             print!("{out}");
             std::process::exit(code);

@@ -1,268 +1,31 @@
-//! `perfctl` — inspect run profiles and gate on the perf baseline.
+//! `simctl perf` — inspect run profiles and gate on the perf baseline.
 //!
 //! The write side lives in `telemetry::runprof` (the `--runprof`
 //! sidecar every bench binary can emit) and in the bench harness's
-//! `--perf` fragments merged into `BENCH_simperf.json`. This crate is
-//! the reader side: a library of renderers plus a thin CLI
-//! (`src/main.rs`) in the `tracectl` house style:
+//! `--perf` fragments merged into `BENCH_simperf.json`. The renderers
+//! here read both through the generic `telemetry::json` value parser:
 //!
-//! * `perfctl summary <runprof.json>` — watermarks, stage wall times,
+//! * `summary <runprof.json>` — watermarks, stage wall times,
 //!   allocation counters, peak RSS, and throughput samples;
-//! * `perfctl diff <a.json> <b.json>` — determinism triage: the
+//! * `diff <a.json> <b.json>` — determinism triage: the
 //!   `deterministic` sections must match structurally (exit 1 naming
 //!   the first diverging path otherwise); wall-clock sections are
 //!   reported as deltas, never compared for equality;
-//! * `perfctl regress <current>... --baseline BENCH_simperf.json
-//!   [--tolerance 30%]` — the CI perf gate: every throughput label
-//!   present in both current and baseline must stay above
-//!   `(1 − tolerance) × baseline` events/sec. Multiple current files
-//!   fold best-per-label (best-of-N runs); accepts `--perf` fragments,
-//!   merged `BENCH_simperf.json` files, and `--runprof` sidecars. With
-//!   `--strict`, baseline labels the current run did not measure fail
-//!   the gate instead of printing "(not measured)" and passing — the
-//!   full-grid invocation in `scripts/run_experiments.sh` uses it so a
-//!   bench dropping out of the grid cannot silently shrink the gate.
-//!
-//! Every renderer returns a `String` so tests assert on output
-//! verbatim; only `main` prints. Exit codes: 0 ok, 1 regression or
-//! deterministic divergence, 2 usage/parse errors.
+//! * `regress <current>... --baseline BENCH_simperf.json [--tolerance
+//!   30%]` — the CI perf gate: every throughput label present in both
+//!   current and baseline must stay above `(1 − tolerance) × baseline`
+//!   events/sec. Multiple current files fold best-per-label (best-of-N
+//!   runs); accepts `--perf` fragments, merged `BENCH_simperf.json`
+//!   files, and `--runprof` sidecars. With `--strict`, baseline labels
+//!   the current run did not measure fail the gate instead of printing
+//!   "(not measured)" and passing — the full-grid invocation in
+//!   `scripts/run_experiments.sh` uses it so a bench dropping out of
+//!   the grid cannot silently shrink the gate.
 
+use crate::{load_text, Args, Outcome};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-// ---- minimal JSON value --------------------------------------------
-
-/// Parsed JSON. Objects keep sorted key order (BTreeMap) — every JSON
-/// writer in this workspace sorts keys anyway, and it makes structural
-/// diffs deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// Parse one JSON document (strict enough for this workspace's
-/// hand-rolled writers; rejects trailing garbage).
-pub fn parse_json(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_owned())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_owned())?;
-        s.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number {s:?} at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            // Surrogates don't appear in this
-                            // workspace's ASCII-escaped output.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
-                _ => {
-                    // Re-decode multi-byte UTF-8 starting here.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while self.bytes.get(end).is_some_and(|&b| b & 0xC0 == 0x80) {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
+use telemetry::json::{self, Value};
 
 // ---- sample extraction ---------------------------------------------
 
@@ -657,70 +420,48 @@ pub fn regress(
 
 // ---- CLI ------------------------------------------------------------
 
-const USAGE: &str = "usage:
-  perfctl summary <runprof.json>
-  perfctl diff <a.json> <b.json>
-  perfctl regress <current.json>... --baseline <BENCH_simperf.json> [--tolerance 30%] [--strict]
-";
-
 fn load(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_json(&text).map_err(|e| format!("{path}: {e}"))
+    load_text(path, json::parse)
 }
 
-/// CLI entry: returns (stdout, exit code); Err means usage/IO/parse
-/// failure (`main` prints it to stderr and exits 2).
-pub fn run(args: &[String]) -> Result<(String, i32), String> {
-    match args.first().map(String::as_str) {
-        Some("summary") => {
-            let [path] = &args[1..] else {
-                return Err(USAGE.to_owned());
-            };
-            Ok((summary(&load(path)?)?, 0))
+/// Dispatch `simctl perf <subcommand> …`.
+pub fn run(args: &[String]) -> Outcome {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(crate::usage());
+    };
+    match cmd.as_str() {
+        "summary" => {
+            let a = Args::parse(rest, &[], &[])?;
+            Ok((summary(&load(&a.positional(1, 1)?[0])?)?, 0))
         }
-        Some("diff") => {
-            let [a, b] = &args[1..] else {
-                return Err(USAGE.to_owned());
-            };
-            diff(&load(a)?, &load(b)?)
+        "diff" => {
+            let a = Args::parse(rest, &[], &[])?;
+            let pos = a.positional(2, 2)?;
+            diff(&load(&pos[0])?, &load(&pos[1])?)
         }
-        Some("regress") => {
-            let mut baseline: Option<String> = None;
-            let mut tolerance = 0.30;
-            let mut strict = false;
-            let mut current: Vec<String> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--baseline" => {
-                        baseline = Some(it.next().ok_or(USAGE)?.clone());
-                    }
-                    "--tolerance" => {
-                        tolerance = parse_tolerance(it.next().ok_or(USAGE)?)?;
-                    }
-                    "--strict" => strict = true,
-                    _ => current.push(a.clone()),
-                }
-            }
-            let baseline = baseline.ok_or(USAGE)?;
-            if current.is_empty() {
-                return Err(USAGE.to_owned());
-            }
-            let base_samples = extract_samples(&load(&baseline)?);
+        "regress" => {
+            let a = Args::parse(rest, &["baseline", "tolerance"], &["strict"])?;
+            let current = a.positional(1, usize::MAX)?;
+            let baseline = a.get("baseline").ok_or_else(crate::usage)?;
+            let tolerance = match a.get("tolerance") {
+                Some(t) => parse_tolerance(t)?,
+                None => 0.30,
+            };
+            let base_samples = extract_samples(&load(baseline)?);
             if base_samples.is_empty() {
                 return Err(format!("{baseline}: no samples found"));
             }
             let mut cur = Vec::new();
-            for p in &current {
+            for p in current {
                 let s = extract_samples(&load(p)?);
                 if s.is_empty() {
                     return Err(format!("{p}: no samples found"));
                 }
                 cur.push(s);
             }
-            regress(&cur, &base_samples, tolerance, strict)
+            regress(&cur, &base_samples, tolerance, a.has("strict"))
         }
-        _ => Err(USAGE.to_owned()),
+        _ => Err(crate::usage()),
     }
 }
 
@@ -774,30 +515,14 @@ mod tests {
     #[test]
     fn parses_every_artifact_shape() {
         for (doc, want) in [(FRAGMENT, 1), (MERGED, 2), (RUNPROF, 1)] {
-            let v = parse_json(doc).unwrap();
+            let v = json::parse(doc).unwrap();
             assert_eq!(extract_samples(&v).len(), want);
         }
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{}extra").is_err());
-        assert!(parse_json("{\"a\": nope}").is_err());
-        assert!(parse_json("[1, 2,]").is_err());
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_numbers() {
-        let v = parse_json(r#"{"s": "a\"b\\cA", "n": -1.5e3, "z": null}"#).unwrap();
-        assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\cA"));
-        assert_eq!(v.get("n").unwrap().as_f64(), Some(-1500.0));
-        assert_eq!(v.get("z"), Some(&Value::Null));
-    }
-
-    #[test]
     fn summary_renders_all_sections() {
-        let v = parse_json(RUNPROF).unwrap();
+        let v = json::parse(RUNPROF).unwrap();
         let s = summary(&v).unwrap();
         assert!(s.contains("run profile: fig18"), "{s}");
         assert!(s.contains("sim.queue.arena_peak"), "{s}");
@@ -811,16 +536,16 @@ mod tests {
 
     #[test]
     fn summary_rejects_non_runprof_input() {
-        let v = parse_json(FRAGMENT).unwrap();
+        let v = json::parse(FRAGMENT).unwrap();
         assert!(summary(&v).is_err());
     }
 
     #[test]
     fn diff_passes_identical_deterministic_sections() {
-        let a = parse_json(RUNPROF).unwrap();
+        let a = json::parse(RUNPROF).unwrap();
         // Same deterministic content, different wall-clock numbers.
         let b_text = RUNPROF.replace("2000000000", "3000000000");
-        let b = parse_json(&b_text).unwrap();
+        let b = json::parse(&b_text).unwrap();
         let (out, code) = diff(&a, &b).unwrap();
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("deterministic sections identical"), "{out}");
@@ -829,8 +554,8 @@ mod tests {
 
     #[test]
     fn diff_names_the_first_diverging_watermark() {
-        let a = parse_json(RUNPROF).unwrap();
-        let b = parse_json(&RUNPROF.replace("512", "640")).unwrap();
+        let a = json::parse(RUNPROF).unwrap();
+        let b = json::parse(&RUNPROF.replace("512", "640")).unwrap();
         let (out, code) = diff(&a, &b).unwrap();
         assert_eq!(code, 1);
         assert!(
@@ -841,7 +566,7 @@ mod tests {
 
     #[test]
     fn regress_passes_identical_samples() {
-        let v = parse_json(MERGED).unwrap();
+        let v = json::parse(MERGED).unwrap();
         let samples = extract_samples(&v);
         let runs = [samples.clone()];
         let (out, code) = regress(&runs, &samples, 0.30, false).unwrap();
@@ -854,7 +579,7 @@ mod tests {
 
     #[test]
     fn regress_fails_a_40_percent_slowdown() {
-        let v = parse_json(MERGED).unwrap();
+        let v = json::parse(MERGED).unwrap();
         let baseline = extract_samples(&v);
         let mut slow = baseline.clone();
         for s in &mut slow {
@@ -867,7 +592,7 @@ mod tests {
 
     #[test]
     fn regress_takes_best_of_n_current_runs() {
-        let v = parse_json(MERGED).unwrap();
+        let v = json::parse(MERGED).unwrap();
         let baseline = extract_samples(&v);
         let mut slow = baseline.clone();
         for s in &mut slow {
@@ -895,7 +620,7 @@ mod tests {
 
     #[test]
     fn regress_strict_fails_unmeasured_baseline_labels() {
-        let v = parse_json(MERGED).unwrap();
+        let v = json::parse(MERGED).unwrap();
         let baseline = extract_samples(&v);
         // Current run measured only one of the two baseline labels.
         let current = vec![baseline
@@ -918,6 +643,17 @@ mod tests {
         assert_eq!(parse_tolerance("0.3").unwrap(), 0.3);
         assert!(parse_tolerance("150%").is_err());
         assert!(parse_tolerance("nope").is_err());
+    }
+
+    #[test]
+    fn summary_of_a_deeply_nested_file_is_an_error_not_an_abort() {
+        let dir = std::env::temp_dir().join("simctl-perf-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("nested.json");
+        std::fs::write(&p, "[".repeat(1_000_000)).unwrap();
+        let path = p.to_string_lossy().to_string();
+        let err = run(&["summary".to_owned(), path]).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

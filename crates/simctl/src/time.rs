@@ -1,28 +1,25 @@
-//! `timectl` — inspect deterministic TSL1 timeline dumps.
+//! `simctl time` — inspect deterministic TSL1 timeline dumps.
 //!
 //! The timeline sampler (`telemetry::timeline`) serializes each run's
 //! periodic counter/gauge/f64 snapshots to a delta-encoded binary dump.
-//! This crate is the reader side: a library of renderers over parsed
-//! [`Timeline`]s plus a thin CLI (`src/main.rs`) exposing them:
+//! The renderers here read parsed [`Timeline`]s:
 //!
-//! * `timectl summary <dump>` — cadence, tick retention/eviction, time
-//!   range, per-series table, and the downsampled tiers;
-//! * `timectl query <dump> <series> [--from <ms>] [--to <ms>]
-//!   [--bucket <ms>] [--agg <mean|max|min|sum|count|last>]` — one
-//!   `seconds value` line per sample (or per bucket with `--bucket`),
-//!   printed with shortest-roundtrip floats so the fig14 cwnd curve
-//!   comes back token-identical to what the bench harness dumped;
-//! * `timectl plot <dump> <series> [--from/--to/--width]` — ASCII
-//!   sparkline, deterministic for a given dump;
-//! * `timectl export <dump> --csv [--series <prefix>]` — CSV
+//! * `summary <dump>` — cadence, tick retention/eviction, time range,
+//!   per-series table, and the downsampled tiers;
+//! * `query <dump> <series> [--from <ms>] [--to <ms>] [--bucket <ms>]
+//!   [--agg <mean|max|min|sum|count|last>]` — one `seconds value` line
+//!   per sample (or per bucket with `--bucket`), printed with
+//!   shortest-roundtrip floats so the fig14 cwnd curve comes back
+//!   token-identical to what the bench harness dumped;
+//! * `plot <dump> <series> [--from/--to/--width]` — ASCII sparkline,
+//!   deterministic for a given dump;
+//! * `export <dump> --csv [--series <prefix>]` — CSV
 //!   (`series,kind,t_ns,value`) of every series, sorted by name;
-//! * `timectl diff <a> <b>` — determinism triage: byte-compares two
-//!   dumps and, when they differ, names the first diverging series and
-//!   timestamp (exit 1).
-//!
-//! Every renderer returns a `String` so tests assert on output
-//! verbatim; only `main` prints.
+//! * `diff <a> <b>` — determinism triage: byte-compares two dumps and,
+//!   when they differ, names the first diverging series and timestamp
+//!   (exit 1).
 
+use crate::{load, verdict, Args, Outcome};
 use sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
 use telemetry::timeline::{agg_from_name, agg_label, Timeline};
@@ -113,7 +110,7 @@ pub fn query(
 ) -> Result<String, String> {
     if tl.kind(series).is_none() {
         return Err(format!(
-            "no series {series} in dump (try `timectl summary`)"
+            "no series {series} in dump (try `simctl time summary`)"
         ));
     }
     let pts = match bucket {
@@ -135,7 +132,7 @@ const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█']
 pub fn plot(tl: &Timeline, series: &str, w: Window, width: usize) -> Result<String, String> {
     if tl.kind(series).is_none() {
         return Err(format!(
-            "no series {series} in dump (try `timectl summary`)"
+            "no series {series} in dump (try `simctl time summary`)"
         ));
     }
     let width = width.max(1);
@@ -285,145 +282,75 @@ fn f64_or_raw(kind: &str, bits: u64) -> String {
     }
 }
 
-/// CLI usage text.
-pub fn usage() -> String {
-    [
-        "timectl — inspect TSL1 timeline dumps",
-        "",
-        "usage:",
-        "  timectl summary <dump.bin>",
-        "  timectl query <dump.bin> <series> [--from <ms>] [--to <ms>]",
-        "                [--bucket <ms>] [--agg <mean|max|min|sum|count|last>]",
-        "  timectl plot <dump.bin> <series> [--from <ms>] [--to <ms>] [--width <cols>]",
-        "  timectl export <dump.bin> --csv [--series <prefix>]",
-        "  timectl diff <a.bin> <b.bin>",
-        "",
-    ]
-    .join("\n")
+fn load_timeline(path: &str) -> Result<Timeline, String> {
+    load(path, Timeline::parse)
 }
 
-fn load(path: &str) -> Result<Timeline, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Timeline::parse(&bytes).map_err(|e| format!("cannot parse {path}: {e}"))
+/// `--<flag> <ms>` as an offset from t=0.
+fn ms(a: &Args, flag: &str) -> Result<Option<SimDuration>, String> {
+    Ok(a.parsed::<u64>(flag)?.map(SimDuration::from_millis))
 }
 
-fn parse_ms(v: &str, flag: &str) -> Result<SimDuration, String> {
-    let ms: u64 = v
-        .parse()
-        .map_err(|e| format!("bad {flag} value {v} (want milliseconds): {e}"))?;
-    Ok(SimDuration::from_millis(ms))
+/// The `--from`/`--to` window.
+fn window(a: &Args) -> Result<Window, String> {
+    let all = Window::default();
+    Ok(Window {
+        from: ms(a, "from")?.map_or(all.from, |d| SimTime::ZERO + d),
+        to: ms(a, "to")?.map_or(all.to, |d| SimTime::ZERO + d),
+    })
 }
 
-/// `--from/--to/--bucket/--agg/--width/--series` shared option parser.
-#[derive(Debug, Default)]
-struct QueryOpts {
-    window: Window,
-    bucket: Option<SimDuration>,
-    agg: Option<Agg>,
-    width: Option<usize>,
-    csv: bool,
-    series_prefix: Option<String>,
-    positional: Vec<String>,
-}
-
-fn parse_opts(args: &[String]) -> Result<QueryOpts, String> {
-    let mut o = QueryOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            if a == flag {
-                Ok(Some(
-                    it.next()
-                        .ok_or_else(|| format!("{flag} needs a value"))?
-                        .clone(),
-                ))
-            } else {
-                Ok(a.strip_prefix(&format!("{flag}=")).map(str::to_owned))
-            }
-        };
-        if let Some(v) = take("--from")? {
-            o.window.from = SimTime::ZERO + parse_ms(&v, "--from")?;
-        } else if let Some(v) = take("--to")? {
-            o.window.to = SimTime::ZERO + parse_ms(&v, "--to")?;
-        } else if let Some(v) = take("--bucket")? {
-            o.bucket = Some(parse_ms(&v, "--bucket")?);
-        } else if let Some(v) = take("--agg")? {
-            o.agg = Some(agg_from_name(&v).ok_or_else(|| format!("unknown --agg {v}"))?);
-        } else if let Some(v) = take("--width")? {
-            o.width = Some(v.parse().map_err(|e| format!("bad --width {v}: {e}"))?);
-        } else if let Some(v) = take("--series")? {
-            o.series_prefix = Some(v);
-        } else if a == "--csv" {
-            o.csv = true;
-        } else if a.starts_with("--") {
-            return Err(format!("unknown argument {a}\n{}", usage()));
-        } else {
-            o.positional.push(a.clone());
+/// Dispatch `simctl time <subcommand> …`.
+pub fn run(args: &[String]) -> Outcome {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(crate::usage());
+    };
+    match cmd.as_str() {
+        "summary" => {
+            let a = Args::parse(rest, &[], &[])?;
+            Ok((summary(&load_timeline(&a.positional(1, 1)?[0])?), 0))
         }
-    }
-    Ok(o)
-}
-
-/// Dispatch a full argv (without the program name). Returns the output
-/// to print and the process exit code; `Err` is a usage/IO error whose
-/// message goes to stderr with exit code 2.
-pub fn run(args: &[String]) -> Result<(String, i32), String> {
-    let cmd = args.first().map(String::as_str);
-    let rest = args.get(1..).unwrap_or_default();
-    match cmd {
-        Some("summary") => {
-            let o = parse_opts(rest)?;
-            let [path] = o.positional.as_slice() else {
-                return Err(usage());
-            };
-            Ok((summary(&load(path)?), 0))
-        }
-        Some("query") => {
-            let o = parse_opts(rest)?;
-            let [path, series] = o.positional.as_slice() else {
-                return Err(usage());
-            };
-            if o.agg.is_some() && o.bucket.is_none() {
+        "query" => {
+            let a = Args::parse(rest, &["from", "to", "bucket", "agg"], &[])?;
+            let pos = a.positional(2, 2)?;
+            let agg = a
+                .get("agg")
+                .map(|v| agg_from_name(v).ok_or_else(|| format!("unknown --agg {v}")))
+                .transpose()?;
+            let bucket = ms(&a, "bucket")?;
+            if agg.is_some() && bucket.is_none() {
                 return Err("--agg needs --bucket".to_owned());
             }
-            let out = query(
-                &load(path)?,
-                series,
-                o.window,
-                o.bucket,
-                o.agg.unwrap_or(Agg::Mean),
-            )?;
+            let tl = load_timeline(&pos[0])?;
+            let out = query(&tl, &pos[1], window(&a)?, bucket, agg.unwrap_or(Agg::Mean))?;
             Ok((out, 0))
         }
-        Some("plot") => {
-            let o = parse_opts(rest)?;
-            let [path, series] = o.positional.as_slice() else {
-                return Err(usage());
-            };
+        "plot" => {
+            let a = Args::parse(rest, &["from", "to", "width"], &[])?;
+            let pos = a.positional(2, 2)?;
+            let width = a.parsed("width")?.unwrap_or(72);
             Ok((
-                plot(&load(path)?, series, o.window, o.width.unwrap_or(72))?,
+                plot(&load_timeline(&pos[0])?, &pos[1], window(&a)?, width)?,
                 0,
             ))
         }
-        Some("export") => {
-            let o = parse_opts(rest)?;
-            let [path] = o.positional.as_slice() else {
-                return Err(usage());
-            };
-            if !o.csv {
-                return Err(format!("export wants --csv\n{}", usage()));
+        "export" => {
+            let a = Args::parse(rest, &["series"], &["csv"])?;
+            let pos = a.positional(1, 1)?;
+            if !a.has("csv") {
+                return Err(format!("export wants --csv\n{}", crate::usage()));
             }
-            Ok((export_csv(&load(path)?, o.series_prefix.as_deref()), 0))
+            Ok((export_csv(&load_timeline(&pos[0])?, a.get("series")), 0))
         }
-        Some("diff") => {
-            let o = parse_opts(rest)?;
-            let [pa, pb] = o.positional.as_slice() else {
-                return Err(usage());
-            };
-            let (out, same) = diff(&load(pa)?, &load(pb)?);
-            Ok((out, if same { 0 } else { 1 }))
+        "diff" => {
+            let a = Args::parse(rest, &[], &[])?;
+            let pos = a.positional(2, 2)?;
+            Ok(verdict(diff(
+                &load_timeline(&pos[0])?,
+                &load_timeline(&pos[1])?,
+            )))
         }
-        _ => Err(usage()),
+        _ => Err(crate::usage()),
     }
 }
 
@@ -570,7 +497,7 @@ mod tests {
         assert!(run(&[]).is_err());
         assert!(run(&["nonsense".to_owned()]).is_err());
 
-        let dir = std::env::temp_dir().join("timectl-test");
+        let dir = std::env::temp_dir().join("simctl-time-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("dump.bin");
         std::fs::write(&p, sample().to_bytes()).unwrap();

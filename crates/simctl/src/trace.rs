@@ -1,26 +1,26 @@
-//! `tracectl` — inspect causal flight-recorder dumps.
+//! `simctl trace` — inspect causal flight-recorder dumps.
 //!
 //! The flight recorder (`telemetry::flight`) serializes each run's
-//! last-N typed trace records to a deterministic binary dump. This
-//! crate is the reader side: a library of renderers over parsed
-//! [`FlightDump`]s plus a thin CLI (`src/main.rs`) exposing them:
+//! last-N typed trace records to a deterministic binary dump. The
+//! renderers here read parsed [`FlightDump`]s:
 //!
-//! * `tracectl summary <dump>` — per-component record counts, drop
-//!   accounting, time range, and the flows present;
-//! * `tracectl grep <dump> [--component <prefix>] [--flow <id>]` —
-//!   filtered record listing;
-//! * `tracectl chain <dump> [<flow>]` — the full causal chain of one
-//!   flow, time-ordered across every layer (TCP segment → A-MPDU →
-//!   MAC tx → BlockAck → fast ACK → airtime). With no flow argument,
-//!   picks the first flow with a complete chain;
-//! * `tracectl diff <a> <b>` — determinism triage: byte-compares two
-//!   dumps and, when they differ, locates the first diverging
-//!   component and record.
+//! * `summary <dump>` — per-component record counts, drop accounting,
+//!   time range, and the flows present;
+//! * `grep <dump> [--component <prefix>] [--flow <id>]` — filtered
+//!   record listing;
+//! * `chain <dump> [<flow>]` — the full causal chain of one flow,
+//!   time-ordered across every layer (TCP segment → A-MPDU → MAC tx →
+//!   BlockAck → fast ACK → airtime). With no flow argument, picks the
+//!   first flow with a complete chain;
+//! * `diff <a> <b>` — determinism triage: byte-compares two dumps and,
+//!   when they differ, locates the first diverging component and
+//!   record.
 //!
-//! Every renderer returns a `String` so tests assert on output
-//! verbatim; only `main` prints.
+//! `summary` and `chain` take `--json` for a machine-readable rendering.
 
+use crate::{load, parse_pos, verdict, Args, Outcome};
 use telemetry::flight::{FlightDump, FlightEvent};
+use telemetry::json;
 
 /// Layers (in causal order) that make a chain "complete" for the
 /// paper's TCP-over-802.11ac pipeline.
@@ -32,42 +32,22 @@ const CHAIN_LAYERS: [&str; 5] = [
     "fastack-synth",
 ];
 
-/// Minimal JSON string escaping (control chars, quotes, backslash).
-fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// One event as a JSON object (shared by the `--json` renderers).
 fn event_json(component: &str, ev: &FlightEvent, out: &mut String) {
     out.push_str("{\"at_ns\":");
     out.push_str(&ev.at.as_nanos().to_string());
     out.push_str(",\"component\":");
-    json_escape(component, out);
+    json::string(out, component);
     out.push_str(",\"layer\":");
-    json_escape(ev.record.layer(), out);
+    json::string(out, ev.record.layer());
     out.push_str(",\"flow\":");
-    match ev.flow() {
-        Some(f) => out.push_str(&f.to_string()),
-        None => out.push_str("null"),
-    }
+    json::opt_u64(out, ev.flow());
     out.push_str(",\"cause\":{\"flow\":");
     out.push_str(&ev.cause.flow_hint().to_string());
     out.push_str(",\"seq\":");
     out.push_str(&ev.cause.seq_hint().to_string());
     out.push_str("},\"text\":");
-    json_escape(&ev.record.to_string(), out);
+    json::string(out, &ev.record.to_string());
     out.push('}');
 }
 
@@ -134,7 +114,7 @@ pub fn summary_json(dump: &FlightDump) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        json_escape(&c.name, &mut out);
+        json::string(&mut out, &c.name);
         out.push_str(&format!(
             ",\"records\":{},\"capacity\":{},\"dropped\":{}",
             c.records.len(),
@@ -142,15 +122,9 @@ pub fn summary_json(dump: &FlightDump) -> String {
             c.dropped
         ));
         out.push_str(",\"first_ns\":");
-        match c.records.first() {
-            Some(ev) => out.push_str(&ev.at.as_nanos().to_string()),
-            None => out.push_str("null"),
-        }
+        json::opt_u64(&mut out, c.records.first().map(|ev| ev.at.as_nanos()));
         out.push_str(",\"last_ns\":");
-        match c.records.last() {
-            Some(ev) => out.push_str(&ev.at.as_nanos().to_string()),
-            None => out.push_str("null"),
-        }
+        json::opt_u64(&mut out, c.records.last().map(|ev| ev.at.as_nanos()));
         out.push('}');
     }
     out.push_str(&format!(
@@ -266,7 +240,7 @@ pub fn chain_json(dump: &FlightDump, flow: Option<u64>) -> String {
         if i > 0 {
             out.push(',');
         }
-        json_escape(l, &mut out);
+        json::string(&mut out, l);
     }
     out.push_str(&format!(
         "],\"complete\":{}}}\n",
@@ -330,124 +304,60 @@ pub fn diff(a: &FlightDump, b: &FlightDump) -> (String, bool) {
     (out, false)
 }
 
-/// CLI usage text.
-pub fn usage() -> String {
-    [
-        "tracectl — inspect flight-recorder dumps",
-        "",
-        "usage:",
-        "  tracectl summary <dump.bin> [--json]",
-        "  tracectl grep <dump.bin> [--component <prefix>] [--flow <id>]",
-        "  tracectl chain <dump.bin> [<flow>] [--json]",
-        "  tracectl diff <a.bin> <b.bin>",
-        "",
-    ]
-    .join("\n")
+fn load_dump(path: &str) -> Result<FlightDump, String> {
+    load(path, FlightDump::parse)
 }
 
-fn load(path: &str) -> Result<FlightDump, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    FlightDump::parse(&bytes).map_err(|e| format!("cannot parse {path}: {e}"))
-}
-
-/// Dispatch a full argv (without the program name). Returns the output
-/// to print and the process exit code; `Err` is a usage/IO error whose
-/// message goes to stderr with exit code 2.
-pub fn run(args: &[String]) -> Result<(String, i32), String> {
-    let cmd = args.first().map(String::as_str);
-    match cmd {
-        Some("summary") => {
-            let mut path: Option<&String> = None;
-            let mut json = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--json" => json = true,
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown summary argument {other}\n{}", usage()));
-                    }
-                    _ if path.is_none() => path = Some(a),
-                    other => return Err(format!("extra summary argument {other}\n{}", usage())),
-                }
-            }
-            let dump = load(path.ok_or_else(usage)?)?;
-            Ok((
-                if json {
-                    summary_json(&dump)
-                } else {
-                    summary(&dump)
-                },
-                0,
-            ))
+/// Dispatch `simctl trace <subcommand> …`.
+pub fn run(args: &[String]) -> Outcome {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(crate::usage());
+    };
+    match cmd.as_str() {
+        "summary" => {
+            let a = Args::parse(rest, &[], &["json"])?;
+            let dump = load_dump(&a.positional(1, 1)?[0])?;
+            let out = if a.has("json") {
+                summary_json(&dump)
+            } else {
+                summary(&dump)
+            };
+            Ok((out, 0))
         }
-        Some("grep") => {
-            let path = args.get(1).ok_or_else(usage)?;
-            let mut component: Option<String> = None;
-            let mut flow: Option<u64> = None;
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--component" => component = it.next().cloned(),
-                    "--flow" => {
-                        let v = it.next().ok_or("--flow needs a value")?;
-                        flow = Some(v.parse().map_err(|e| format!("bad flow id {v}: {e}"))?);
-                    }
-                    other => {
-                        if let Some(p) = other.strip_prefix("--component=") {
-                            component = Some(p.to_owned());
-                        } else if let Some(p) = other.strip_prefix("--flow=") {
-                            flow = Some(p.parse().map_err(|e| format!("bad flow id {p}: {e}"))?);
-                        } else {
-                            return Err(format!("unknown grep argument {other}\n{}", usage()));
-                        }
-                    }
-                }
-            }
-            Ok((grep(&load(path)?, component.as_deref(), flow), 0))
+        "grep" => {
+            let a = Args::parse(rest, &["component", "flow"], &[])?;
+            let dump = load_dump(&a.positional(1, 1)?[0])?;
+            Ok((grep(&dump, a.get("component"), a.parsed("flow")?), 0))
         }
-        Some("chain") => {
-            let mut path: Option<&String> = None;
-            let mut flow: Option<u64> = None;
-            let mut json = false;
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--json" => json = true,
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown chain argument {other}\n{}", usage()));
-                    }
-                    _ if path.is_none() => path = Some(a),
-                    v if flow.is_none() => {
-                        flow = Some(v.parse().map_err(|e| format!("bad flow id {v}: {e}"))?);
-                    }
-                    other => return Err(format!("extra chain argument {other}\n{}", usage())),
-                }
-            }
-            let dump = load(path.ok_or_else(usage)?)?;
-            Ok((
-                if json {
-                    chain_json(&dump, flow)
-                } else {
-                    chain(&dump, flow)
-                },
-                0,
-            ))
+        "chain" => {
+            let a = Args::parse(rest, &[], &["json"])?;
+            let pos = a.positional(1, 2)?;
+            let flow = parse_pos(pos.get(1), "flow id")?;
+            let dump = load_dump(&pos[0])?;
+            let out = if a.has("json") {
+                chain_json(&dump, flow)
+            } else {
+                chain(&dump, flow)
+            };
+            Ok((out, 0))
         }
-        Some("diff") => {
-            let pa = args.get(1).ok_or_else(usage)?;
-            let pb = args.get(2).ok_or_else(usage)?;
-            let (out, same) = diff(&load(pa)?, &load(pb)?);
-            Ok((out, if same { 0 } else { 1 }))
+        "diff" => {
+            let a = Args::parse(rest, &[], &[])?;
+            let pos = a.positional(2, 2)?;
+            Ok(verdict(diff(&load_dump(&pos[0])?, &load_dump(&pos[1])?)))
         }
-        _ => Err(usage()),
+        _ => Err(crate::usage()),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sim::{SimDuration, SimTime};
     use telemetry::flight::{cause_for, AirKind, CauseId, FlightRecorder, TraceRecord};
 
-    fn sample() -> FlightDump {
+    /// One flow's complete causal chain plus an uncaused airtime span.
+    pub(crate) fn sample() -> FlightDump {
         let rec = FlightRecorder::new(16);
         let t = SimTime::from_micros;
         let c = cause_for(3, 1460);
@@ -621,7 +531,7 @@ mod tests {
         assert!(run(&[]).is_err());
         assert!(run(&["nonsense".to_owned()]).is_err());
 
-        let dir = std::env::temp_dir().join("tracectl-test");
+        let dir = std::env::temp_dir().join("simctl-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("dump.bin");
         std::fs::write(&p, sample().to_bytes()).unwrap();

@@ -17,6 +17,7 @@
 use crate::annotations::{Citation, CiteKind, Problem, ProblemKind};
 use crate::registry::{Level, Registry};
 use std::collections::BTreeMap;
+use telemetry::json;
 
 /// One citation site, stripped to location.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -287,23 +288,26 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "\n      {{\"id\": \"{}\", \"title\": \"{}\", \"clauses\": [",
-                json_escape(&s.id),
-                json_escape(&s.title)
-            ));
+            out.push_str("\n      {\"id\": ");
+            json::string(&mut out, &s.id);
+            out.push_str(", \"title\": ");
+            json::string(&mut out, &s.title);
+            out.push_str(", \"clauses\": [");
             for (j, c) in s.clauses.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
+                out.push_str("\n        {\"id\": ");
+                json::string(&mut out, &c.id);
                 out.push_str(&format!(
-                    "\n        {{\"id\": \"{}\", \"level\": \"{}\", \"status\": \"{}\", \"impl\": [{}], \"test\": [{}]}}",
-                    json_escape(&c.id),
+                    ", \"level\": \"{}\", \"status\": \"{}\", \"impl\": [",
                     c.level,
-                    c.status().as_str(),
-                    sites_json(&c.impl_sites),
-                    sites_json(&c.test_sites)
+                    c.status().as_str()
                 ));
+                sites_json(&c.impl_sites, &mut out);
+                out.push_str("], \"test\": [");
+                sites_json(&c.test_sites, &mut out);
+                out.push_str("]}");
             }
             if !s.clauses.is_empty() {
                 out.push_str("\n      ");
@@ -318,13 +322,15 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("\n      {\"file\": ");
+            json::string(&mut out, &p.file);
             out.push_str(&format!(
-                "\n      {{\"file\": \"{}\", \"line\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                json_escape(&p.file),
+                ", \"line\": {}, \"kind\": \"{}\", \"detail\": ",
                 p.line,
-                p.kind.as_str(),
-                json_escape(&p.detail)
+                p.kind.as_str()
             ));
+            json::string(&mut out, &p.detail);
+            out.push('}');
         }
         if !self.problems.is_empty() {
             out.push_str("\n    ");
@@ -343,35 +349,15 @@ fn count_status(s: &SpecCoverage, status: Status) -> usize {
     s.clauses.iter().filter(|c| c.status() == status).count()
 }
 
-fn sites_json(sites: &[Site]) -> String {
-    sites
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"file\": \"{}\", \"line\": {}}}",
-                json_escape(&s.file),
-                s.line
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+fn sites_json(sites: &[Site], out: &mut String) {
+    for (i, s) in sites.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
+        out.push_str("{\"file\": ");
+        json::string(out, &s.file);
+        out.push_str(&format!(", \"line\": {}}}", s.line));
     }
-    out
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! when an annotation cites a clause that does not exist, or when the
 //! cited source line is gone (see [`coverage`]).
 //!
-//! Subcommands, in the tracectl/healthctl house style:
+//! Subcommands, in the `simctl` house style:
 //!
 //! - `summary` (default) — per-spec coverage table and verdict;
 //! - `uncovered` — every clause missing impl or test, MUST gaps

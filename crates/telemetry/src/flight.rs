@@ -25,7 +25,7 @@
 //! * **Deterministic dumps** — [`FlightDump::to_bytes`] serializes
 //!   length-prefixed records in sorted component order, little-endian
 //!   throughout. Identical runs produce byte-identical dumps — the same
-//!   contract as `Registry::to_json`, and the artifact `tracectl diff`
+//!   contract as `Registry::to_json`, and the artifact `simctl trace diff`
 //!   triages.
 //! * **Violation-triggered dumps** — [`install_violation_dump`] arms
 //!   `sim::sanitize` so any invariant panic first writes the last-N
@@ -357,7 +357,7 @@ impl Inner {
 }
 
 /// Cloneable handle to a shared flight recorder. Single-threaded by
-/// design (like [`sim::Tracer`]): `Rc<RefCell<…>>`, no locks. A
+/// design: `Rc<RefCell<…>>`, no locks. A
 /// capacity of 0 disables recording entirely — [`FlightRecorder::emit`]
 /// is then a single branch.
 #[derive(Debug, Clone, Default)]
@@ -816,7 +816,7 @@ fn decode_event(payload: &[u8]) -> Result<FlightEvent, String> {
 /// Arm flight-recorder mode: on the next sim-sanitizer violation, write
 /// the recorder's snapshot to `path` before the panic unwinds. The dump
 /// is the post-mortem artifact — parse it with [`FlightDump::parse`] or
-/// inspect it with `tracectl`.
+/// inspect it with `simctl trace`.
 pub fn install_violation_dump(recorder: &FlightRecorder, path: PathBuf) {
     let rec = recorder.clone();
     sim::sanitize::set_violation_hook(Box::new(move || {

@@ -17,10 +17,11 @@
 //! byte-identical run to run and across worker thread counts.
 //!
 //! An [`Alert`] carries an optional [`CauseId`] resolved from the
-//! flight dump at finish time, so `healthctl explain` can hand the
-//! alert straight to `tracectl chain`.
+//! flight dump at finish time, so `simctl health explain` can hand the
+//! alert straight to `simctl trace chain`.
 
 use crate::flight::{CauseId, FlightDump, TraceRecord};
+use crate::json::{self, Cursor};
 use crate::metrics::Registry;
 use crate::streaming::{Ewma, RollingWindow};
 use sim::{SimDuration, SimTime};
@@ -86,7 +87,7 @@ pub struct Alert {
     pub raised_at: SimTime,
     /// `None` while the condition still held at the end of the run.
     pub cleared_at: Option<SimTime>,
-    /// Causal link into the flight dump (`tracectl chain`), when the
+    /// Causal link into the flight dump (`simctl trace chain`), when the
     /// detector could resolve one.
     pub cause: Option<CauseId>,
     /// Detector level when raised (peak level while open).
@@ -97,7 +98,7 @@ pub struct Alert {
 
 impl Alert {
     /// The flow id packed into `cause`, if any — the argument for
-    /// `tracectl chain <flow>`.
+    /// `simctl trace chain <flow>`.
     pub fn cause_flow(&self) -> Option<u64> {
         let flow = self.cause?.flow_hint();
         (flow != 0).then_some(flow)
@@ -105,27 +106,21 @@ impl Alert {
 
     fn to_json(&self, out: &mut String) {
         out.push_str("{\"component\":");
-        json_string(&self.component, out);
+        json::string(out, &self.component);
         out.push_str(",\"rule\":");
-        json_string(&self.rule, out);
+        json::string(out, &self.rule);
         out.push_str(",\"severity\":\"");
         out.push_str(self.severity.as_str());
         out.push_str("\",\"raised_at_ns\":");
         out.push_str(&self.raised_at.as_nanos().to_string());
         out.push_str(",\"cleared_at_ns\":");
-        match self.cleared_at {
-            Some(t) => out.push_str(&t.as_nanos().to_string()),
-            None => out.push_str("null"),
-        }
+        json::opt_u64(out, self.cleared_at.map(SimTime::as_nanos));
         out.push_str(",\"cause\":");
-        match self.cause {
-            Some(c) => out.push_str(&c.0.to_string()),
-            None => out.push_str("null"),
-        }
+        json::opt_u64(out, self.cause.map(|c| c.0));
         out.push_str(",\"value\":");
-        out.push_str(&json_f64(self.value));
+        json::f64(out, self.value);
         out.push_str(",\"threshold\":");
-        out.push_str(&json_f64(self.threshold));
+        json::f64(out, self.threshold);
         out.push('}');
     }
 
@@ -238,6 +233,7 @@ impl HealthReport {
     pub fn parse(text: &str) -> Result<HealthReport, String> {
         let mut cur = Cursor::new(text);
         let report = HealthReport::parse_inner(&mut cur)?;
+        cur.ws();
         cur.end()?;
         Ok(report)
     }
@@ -270,161 +266,6 @@ fn sort_alerts(alerts: &mut [Alert]) {
             b.cleared_at,
         ))
     });
-}
-
-// ---- canonical JSON helpers ---------------------------------------
-
-/// Same float convention as the metrics registry: `{:?}` round-trips
-/// exactly and is byte-stable.
-fn json_f64(x: f64) -> String {
-    format!("{x:?}")
-}
-
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Strict cursor over canonical JSON. Everything this module emits is
-/// deterministic, so the readers demand the exact emitted grammar and
-/// fail loudly on anything else.
-struct Cursor<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor {
-            b: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        let tail: String = self.b[self.i..]
-            .iter()
-            .take(24)
-            .map(|&c| c as char)
-            .collect();
-        format!(
-            "health json: expected {what} at byte {} (near {tail:?})",
-            self.i
-        )
-    }
-
-    fn lit(&mut self, l: &str) -> Result<(), String> {
-        if self.eat(l) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("{l:?}")))
-        }
-    }
-
-    fn eat(&mut self, l: &str) -> bool {
-        if self.b[self.i..].starts_with(l.as_bytes()) {
-            self.i += l.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn num_token(&mut self) -> Result<&'a str, String> {
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(self.err("a number"));
-        }
-        std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let tok = self.num_token()?;
-        tok.parse()
-            .map_err(|e| format!("health json: bad u64 {tok:?}: {e}"))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let tok = self.num_token()?;
-        tok.parse()
-            .map_err(|e| format!("health json: bad f64 {tok:?}: {e}"))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        if self.eat("null") {
-            Ok(None)
-        } else {
-            Ok(Some(self.u64()?))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.lit("\"")?;
-        let mut bytes: Vec<u8> = Vec::new();
-        loop {
-            let Some(&c) = self.b.get(self.i) else {
-                return Err(self.err("closing quote"));
-            };
-            self.i += 1;
-            match c {
-                b'"' => return String::from_utf8(bytes).map_err(|e| format!("health json: {e}")),
-                b'\\' => {
-                    let Some(&e) = self.b.get(self.i) else {
-                        return Err(self.err("escape"));
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' => bytes.push(b'"'),
-                        b'\\' => bytes.push(b'\\'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("4 hex digits"))?;
-                            let v = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("health json: bad \\u escape: {e}"))?;
-                            self.i += 4;
-                            let c = char::from_u32(v).ok_or("health json: bad codepoint")?;
-                            let mut buf = [0u8; 4];
-                            bytes.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        }
-                        other => {
-                            return Err(format!("health json: unknown escape \\{}", other as char))
-                        }
-                    }
-                }
-                c => bytes.push(c),
-            }
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\n' | b'\r' | b'\t')) {
-            self.i += 1;
-        }
-        if self.i == self.b.len() {
-            Ok(())
-        } else {
-            Err(self.err("end of input"))
-        }
-    }
 }
 
 // ---- fleet rollup -------------------------------------------------
@@ -473,35 +314,21 @@ impl HealthRollup {
     }
 
     /// Canonical byte-stable JSON. Starts with `{"by_rule":` — readers
-    /// (healthctl) use that prefix to tell a rollup from a plain
+    /// (`simctl health`) use that prefix to tell a rollup from a plain
     /// [`HealthReport`] (`{"steps":`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\"by_rule\":{");
-        for (i, (k, v)) in self.by_rule.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(k, &mut out);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"by_severity\":{");
-        for (i, (k, v)) in self.by_severity.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(k, &mut out);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"worst\":[");
+        out.push_str("{\"by_rule\":");
+        count_map_json(&self.by_rule, &mut out);
+        out.push_str(",\"by_severity\":");
+        count_map_json(&self.by_severity, &mut out);
+        out.push_str(",\"worst\":[");
         for (i, (label, score)) in self.worst.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push('[');
-            json_string(label, &mut out);
+            json::string(&mut out, label);
             out.push(',');
             out.push_str(&score.to_string());
             out.push(']');
@@ -538,6 +365,7 @@ impl HealthRollup {
         cur.lit(",\"report\":")?;
         let report = HealthReport::parse_inner(&mut cur)?;
         cur.lit("}")?;
+        cur.ws();
         cur.end()?;
         Ok(HealthRollup {
             by_rule,
@@ -546,6 +374,21 @@ impl HealthRollup {
             report,
         })
     }
+}
+
+/// `{"key":count,…}` in key order — the shape of the rollup's
+/// `by_rule`/`by_severity` maps (and of `simctl health summary --json`).
+pub fn count_map_json(counts: &BTreeMap<String, u64>, out: &mut String) {
+    out.push('{');
+    for (i, (k, v)) in counts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::string(out, k);
+        out.push(':');
+        out.push_str(&v.to_string());
+    }
+    out.push('}');
 }
 
 fn parse_count_map(cur: &mut Cursor<'_>) -> Result<BTreeMap<String, u64>, String> {
@@ -999,11 +842,6 @@ impl HealthEngine {
 
     pub fn is_empty(&self) -> bool {
         self.detectors.is_empty()
-    }
-
-    /// Alerts raised so far (open and cleared).
-    pub fn alerts_so_far(&self) -> usize {
-        self.alerts.len()
     }
 
     /// Evaluate every detector at simulated instant `now`.
@@ -1492,7 +1330,7 @@ impl Detector for QueueStarvation {
 /// gauges (0–100, probe-flow derived) and raises when the *worst*
 /// watched client's penalty (`100 − score`) crosses the rule's raise
 /// threshold. The alert's cause is the last probe (or MAC tx) record
-/// of the worst-affected client's probe flow, so `healthctl explain
+/// of the worst-affected client's probe flow, so `simctl health explain
 /// --trace` walks from the application-layer symptom down the stack.
 pub struct QoeDegraded {
     component: String,

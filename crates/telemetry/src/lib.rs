@@ -17,7 +17,9 @@
 //! trajectory, and a deterministic time-series sampler ([`timeline`])
 //! that snapshots registry counters/gauges every fixed sim-time
 //! interval into delta-encoded per-series columns with bounded ring
-//! retention and `TSL1` binary dumps (`timectl` reads those).
+//! retention and `TSL1` binary dumps (`simctl time` reads those), and
+//! the one JSON codec ([`json`]) every artifact writer and reader
+//! shares.
 //!
 //! ```
 //! use telemetry::stats::{Cdf, jain_fairness};
@@ -29,6 +31,7 @@
 
 pub mod flight;
 pub mod health;
+pub mod json;
 pub mod littletable;
 pub mod metrics;
 pub mod runprof;

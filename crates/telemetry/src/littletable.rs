@@ -52,11 +52,6 @@ impl LittleTable {
         self.insert(SeriesKey { device, metric }, at, value);
     }
 
-    /// Number of series held.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     /// Raw samples of one series in `[from, to)`.
     pub fn range(&self, key: &SeriesKey, from: SimTime, to: SimTime) -> Vec<(SimTime, f64)> {
         self.series

@@ -51,6 +51,7 @@
 //! assert!(m.to_json().contains("\"mac.txop\""));
 //! ```
 
+use crate::json;
 use crate::stats::Histogram;
 use sim::{sanitize, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -361,13 +362,14 @@ impl Registry {
         out.push_str("},\"histograms\":{");
         push_entries(&mut out, &self.hist_ids, |o, id| {
             let h = &self.hists[id as usize];
+            o.push_str("{\"lo\":");
+            json::f64(o, h.lo);
+            o.push_str(",\"hi\":");
+            json::f64(o, h.hi);
             let _ = write!(
                 o,
-                "{{\"lo\":{},\"hi\":{},\"total\":{},\"nan_count\":{},\"counts\":[",
-                json_f64(h.lo),
-                json_f64(h.hi),
-                h.total,
-                h.nan_count
+                ",\"total\":{},\"nan_count\":{},\"counts\":[",
+                h.total, h.nan_count
             );
             for (i, c) in h.counts.iter().enumerate() {
                 if i > 0 {
@@ -403,27 +405,10 @@ fn push_entries(
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        for ch in path.chars() {
-            match ch {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push_str("\":");
+        json::string(out, path);
+        out.push(':');
         value(out, id);
     }
-}
-
-/// Shortest-roundtrip f64 formatting (Rust's `{:?}`), which is
-/// deterministic and valid JSON for finite values.
-fn json_f64(x: f64) -> String {
-    debug_assert!(x.is_finite());
-    format!("{x:?}")
 }
 
 #[cfg(test)]

@@ -54,8 +54,9 @@
 //! threads; threading a handle through every layer would make the
 //! no-op case cost more than the measurement). [`snapshot`] renders the
 //! state into a [`RunProfile`]; the bench harness writes it as the
-//! `--runprof out.json` sidecar, inspected with `perfctl`.
+//! `--runprof out.json` sidecar, inspected with `simctl perf`.
 
+use crate::json;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -294,7 +295,7 @@ pub fn parse_vm_hwm(status: &str) -> Option<u64> {
 // ---- snapshot & sidecar JSON --------------------------------------
 
 /// One wall-clock throughput sample carried into the sidecar (the
-/// bench harness forwards its `--perf` samples here so `perfctl
+/// bench harness forwards its `--perf` samples here so `simctl perf
 /// regress` can read either artifact).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplePoint {
@@ -303,6 +304,28 @@ pub struct SamplePoint {
     pub wall_s: f64,
     /// Peak RSS observed when the sample was taken, if available.
     pub peak_rss_bytes: Option<u64>,
+}
+
+impl SamplePoint {
+    /// The sample as one JSON object with its derived events/s rate —
+    /// the shape both the `--runprof` sidecar and the bench harness's
+    /// `--perf` fragment carry.
+    pub fn write_json(&self, o: &mut String) {
+        let rate = if self.wall_s > 0.0 {
+            self.events as f64 / self.wall_s
+        } else {
+            0.0
+        };
+        o.push_str("{ \"label\": ");
+        json::string(o, &self.label);
+        let _ = write!(o, ", \"events\": {}, \"wall_s\": ", self.events);
+        json::f64_or_null(o, self.wall_s);
+        o.push_str(", \"events_per_s\": ");
+        json::f64_or_null(o, rate);
+        o.push_str(", \"peak_rss_bytes\": ");
+        json::opt_u64(o, self.peak_rss_bytes);
+        o.push_str(" }");
+    }
 }
 
 /// Everything the profiler knows, cloned out of the global state.
@@ -329,44 +352,21 @@ pub fn snapshot() -> RunProfile {
     }
 }
 
-fn json_key(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 impl RunProfile {
     /// The `--runprof` sidecar. Byte-stable layout: keys are sorted and
     /// field order is fixed, so identical profiler state serializes to
     /// identical bytes. The `deterministic` object must byte-match
     /// across double runs of the same binary (CI enforces it via
-    /// `perfctl diff`); everything under `wall_clock` is host
+    /// `simctl perf diff`); everything under `wall_clock` is host
     /// measurement and must never be byte-compared.
     pub fn to_json(&self, bench: &str, samples: &[SamplePoint]) -> String {
         let mut o = String::with_capacity(1024);
         o.push_str("{\n  \"bench\": ");
-        json_key(&mut o, bench);
+        json::string(&mut o, bench);
         o.push_str(",\n  \"deterministic\": {\n    \"watermarks\": {");
         for (i, (name, v)) in self.watermarks.iter().enumerate() {
             o.push_str(if i == 0 { "\n      " } else { ",\n      " });
-            json_key(&mut o, name);
+            json::string(&mut o, name);
             let _ = write!(o, ": {v}");
         }
         if !self.watermarks.is_empty() {
@@ -378,7 +378,7 @@ impl RunProfile {
         for (i, (name, s)) in self.stages.iter().enumerate() {
             o.push_str(if i == 0 { "\n      " } else { ",\n      " });
             o.push_str("{ \"stage\": ");
-            json_key(&mut o, name);
+            json::string(&mut o, name);
             let _ = write!(
                 o,
                 ", \"calls\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {} }}",
@@ -398,36 +398,11 @@ impl RunProfile {
             self.alloc.peak_bytes
         );
         o.push_str("    \"peak_rss_bytes\": ");
-        match self.peak_rss_bytes {
-            Some(b) => {
-                let _ = write!(o, "{b}");
-            }
-            None => o.push_str("null"),
-        }
+        json::opt_u64(&mut o, self.peak_rss_bytes);
         o.push_str(",\n    \"samples\": [");
         for (i, s) in samples.iter().enumerate() {
             o.push_str(if i == 0 { "\n      " } else { ",\n      " });
-            let rate = if s.wall_s > 0.0 {
-                s.events as f64 / s.wall_s
-            } else {
-                0.0
-            };
-            o.push_str("{ \"label\": ");
-            json_key(&mut o, &s.label);
-            let _ = write!(
-                o,
-                ", \"events\": {}, \"wall_s\": {}, \"events_per_s\": {}, \"peak_rss_bytes\": ",
-                s.events,
-                json_f64(s.wall_s),
-                json_f64(rate)
-            );
-            match s.peak_rss_bytes {
-                Some(b) => {
-                    let _ = write!(o, "{b}");
-                }
-                None => o.push_str("null"),
-            }
-            o.push_str(" }");
+            s.write_json(&mut o);
         }
         if !samples.is_empty() {
             o.push_str("\n    ");

@@ -93,7 +93,7 @@ impl SeriesKind {
         }
     }
 
-    /// Short human label (`timectl summary`).
+    /// Short human label (`simctl time summary`).
     pub fn label(self) -> &'static str {
         match self {
             SeriesKind::Counter => "counter",
@@ -326,7 +326,7 @@ impl Tier {
     }
 }
 
-/// Read-only view of one tier (for `timectl summary`/queries).
+/// Read-only view of one tier (for `simctl time summary`/queries).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierView<'a> {
     tier: &'a Tier,
@@ -578,7 +578,7 @@ impl Timeline {
     }
 
     /// Raw samples in `[from, to)` with their exact bit patterns —
-    /// what `timectl diff` compares so divergence is never masked by
+    /// what `simctl time diff` compares so divergence is never masked by
     /// float printing.
     pub fn range_bits(
         &self,
@@ -935,7 +935,7 @@ fn agg_from_tag(tag: u8) -> Result<Agg, String> {
     }
 }
 
-/// Human label for an aggregation (`timectl summary`/`query --agg`).
+/// Human label for an aggregation (`simctl time summary`/`query --agg`).
 pub fn agg_label(agg: Agg) -> &'static str {
     match agg {
         Agg::Mean => "mean",

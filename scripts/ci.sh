@@ -62,10 +62,10 @@ cmp "$metrics_dir/metrics-1.json" "$metrics_dir/metrics-2.json" \
 
 echo "=== flight-recorder dump reproducibility ==="
 # Same property for the causal flight recorder: two runs of the same
-# experiment must serialize byte-identical --trace dumps, and tracectl
+# experiment must serialize byte-identical --trace dumps, and simctl
 # must be able to read them back.
 cargo build --release --quiet -p bench --bin fig15_aggregation
-cargo build --release --quiet -p tracectl
+cargo build --release --quiet -p simctl
 for i in 1 2; do
   IMC_RESULTS_DIR="$metrics_dir" \
     target/release/fig15_aggregation --trace "$metrics_dir/trace-$i.bin" \
@@ -74,17 +74,16 @@ for i in 1 2; do
 done
 cmp "$metrics_dir/trace-1.bin" "$metrics_dir/trace-2.bin" \
   || { echo "flight-recorder dump diverged between identical runs"; exit 1; }
-target/release/tracectl summary "$metrics_dir/trace-1.bin" > /dev/null \
-  || { echo "tracectl could not parse its own dump"; exit 1; }
-target/release/tracectl chain "$metrics_dir/trace-1.bin" | grep -q "chain complete" \
-  || { echo "tracectl chain found no complete causal chain in fig15 dump"; exit 1; }
+target/release/simctl trace summary "$metrics_dir/trace-1.bin" > /dev/null \
+  || { echo "simctl trace could not parse its own dump"; exit 1; }
+target/release/simctl trace chain "$metrics_dir/trace-1.bin" | grep -q "chain complete" \
+  || { echo "simctl trace chain found no complete causal chain in fig15 dump"; exit 1; }
 
 echo "=== health snapshot reproducibility ==="
 # Same property for the health/alerting layer: two runs of the same
 # experiment (default rules) must serialize byte-identical --health
-# snapshots, and healthctl must be able to triage them.
+# snapshots, and simctl must be able to triage them.
 cargo build --release --quiet -p bench --bin fig18_multi_ap
-cargo build --release --quiet -p healthctl
 for i in 1 2; do
   IMC_RESULTS_DIR="$metrics_dir" \
     target/release/fig18_multi_ap --health "$metrics_dir/health-$i.json" \
@@ -92,19 +91,19 @@ for i in 1 2; do
 done
 cmp "$metrics_dir/health-1.json" "$metrics_dir/health-2.json" \
   || { echo "health snapshot diverged between identical runs"; exit 1; }
-target/release/healthctl summary "$metrics_dir/health-1.json" > /dev/null \
-  || { echo "healthctl could not parse its own snapshot"; exit 1; }
-target/release/healthctl explain "$metrics_dir/health-1.json" > /dev/null \
-  || { echo "healthctl explain failed on the fig18 snapshot"; exit 1; }
-target/release/healthctl diff "$metrics_dir/health-1.json" "$metrics_dir/health-2.json" \
+target/release/simctl health summary "$metrics_dir/health-1.json" > /dev/null \
+  || { echo "simctl health could not parse its own snapshot"; exit 1; }
+target/release/simctl health explain "$metrics_dir/health-1.json" > /dev/null \
+  || { echo "simctl health explain failed on the fig18 snapshot"; exit 1; }
+target/release/simctl health diff "$metrics_dir/health-1.json" "$metrics_dir/health-2.json" \
   > /dev/null \
-  || { echo "healthctl diff flagged identical snapshots"; exit 1; }
+  || { echo "simctl health diff flagged identical snapshots"; exit 1; }
 
 echo "=== QoE pipeline reproducibility ==="
 # Same property for the application-layer QoE subsystem: probe
 # injection, windowed scoring and the qoe-degraded detector must be
 # deterministic end to end — two fig19_qoe runs byte-identical in both
-# --metrics and --health — and the machine-readable healthctl listings
+# --metrics and --health — and the machine-readable simctl health listings
 # must round-trip the snapshot.
 cargo build --release --quiet -p bench --bin fig19_qoe
 for i in 1 2; do
@@ -117,19 +116,18 @@ cmp "$metrics_dir/qoe-metrics-1.json" "$metrics_dir/qoe-metrics-2.json" \
   || { echo "fig19_qoe metrics snapshot diverged between identical runs"; exit 1; }
 cmp "$metrics_dir/qoe-health-1.json" "$metrics_dir/qoe-health-2.json" \
   || { echo "fig19_qoe health snapshot diverged between identical runs"; exit 1; }
-target/release/healthctl alerts "$metrics_dir/qoe-health-1.json" \
+target/release/simctl health alerts "$metrics_dir/qoe-health-1.json" \
   --rule qoe-degraded --json | grep -q '"rule":"qoe-degraded"' \
-  || { echo "healthctl alerts --json found no qoe-degraded alert"; exit 1; }
-target/release/healthctl summary "$metrics_dir/qoe-health-1.json" --json > /dev/null \
-  || { echo "healthctl summary --json failed on the fig19 snapshot"; exit 1; }
+  || { echo "simctl health alerts --json found no qoe-degraded alert"; exit 1; }
+target/release/simctl health summary "$metrics_dir/qoe-health-1.json" --json > /dev/null \
+  || { echo "simctl health summary --json failed on the fig19 snapshot"; exit 1; }
 
-echo "=== perf smoke (perfctl regress vs committed baseline) ==="
-# Three short fig18 `--perf` runs gated by `perfctl regress`: fail if
+echo "=== perf smoke (simctl perf regress vs committed baseline) ==="
+# Three short fig18 `--perf` runs gated by `simctl perf regress`: fail if
 # the best-of-3 events/s for any shared label lands more than 30% below
 # the committed BENCH_simperf.json baseline. Wall-clock on shared CI
 # hosts is noisy, so the gate exists to catch real hot-path regressions
 # (an accidental allocation or O(n) scan per event), not jitter.
-cargo build --release --quiet -p perfctl
 for i in 1 2 3; do
   IMC_RESULTS_DIR="$metrics_dir" \
     target/release/fig18_multi_ap --perf "$metrics_dir/perf-smoke-$i.json" \
@@ -139,16 +137,16 @@ for i in 1 2 3; do
       || { echo "perf sample JSON missing required key $key"; exit 1; }
   done
 done
-target/release/perfctl regress \
+target/release/simctl perf regress \
   "$metrics_dir"/perf-smoke-{1,2,3}.json \
   --baseline BENCH_simperf.json --tolerance 30% \
-  || { echo "perfctl regress: fig18 events/s regressed >30% vs committed baseline"; exit 1; }
+  || { echo "simctl perf regress: fig18 events/s regressed >30% vs committed baseline"; exit 1; }
 
 echo "=== run-profile reproducibility (deterministic section) ==="
 # The `--runprof` sidecar is split into a deterministic section
 # (resource watermarks — byte-comparable) and a wall-clock section
 # (stage timings — host noise, never compared). Two identical fig15
-# runs must agree on the former; `perfctl diff` exits 1 if they don't,
+# runs must agree on the former; `simctl perf diff` exits 1 if they don't,
 # and while it's here the run must not have perturbed the simulation:
 # the --metrics snapshot with profiling enabled must match the earlier
 # unprofiled one byte for byte.
@@ -158,21 +156,20 @@ for i in 1 2; do
     --trace "$metrics_dir/trace-prof-$i.bin" \
     > /dev/null
 done
-target/release/perfctl diff "$metrics_dir/runprof-1.json" "$metrics_dir/runprof-2.json" \
+target/release/simctl perf diff "$metrics_dir/runprof-1.json" "$metrics_dir/runprof-2.json" \
   > /dev/null \
   || { echo "runprof deterministic sections diverged between identical runs"; exit 1; }
 cmp "$metrics_dir/trace-1.bin" "$metrics_dir/trace-prof-1.bin" \
   || { echo "enabling --runprof changed the fig15 trace artifact"; exit 1; }
-target/release/perfctl summary "$metrics_dir/runprof-1.json" > /dev/null \
-  || { echo "perfctl could not summarize its own sidecar"; exit 1; }
+target/release/simctl perf summary "$metrics_dir/runprof-1.json" > /dev/null \
+  || { echo "simctl perf could not summarize its own sidecar"; exit 1; }
 
 echo "=== timeline dump reproducibility and neutrality ==="
 # Same property for the time-series sampler (see DESIGN.md §6,
 # "Timeline"): two identical runs must serialize byte-identical
-# --timeline TSL1 dumps, timectl must read them back, and — the
+# --timeline TSL1 dumps, simctl time must read them back, and — the
 # stronger claim — sampling must be trajectory-neutral: every other
 # artifact of a sampled run must byte-match the unsampled runs above.
-cargo build --release --quiet -p timectl
 for i in 1 2; do
   IMC_RESULTS_DIR="$metrics_dir" \
     target/release/fig15_aggregation --timeline "$metrics_dir/tl-$i.bin" \
@@ -192,25 +189,25 @@ IMC_RESULTS_DIR="$metrics_dir" \
   > /dev/null
 cmp "$metrics_dir/health-1.json" "$metrics_dir/health-tl.json" \
   || { echo "enabling --timeline changed the fig18 health artifact"; exit 1; }
-target/release/timectl summary "$metrics_dir/tl-1.bin" > /dev/null \
-  || { echo "timectl could not parse its own dump"; exit 1; }
-target/release/timectl diff "$metrics_dir/tl-1.bin" "$metrics_dir/tl-2.bin" \
+target/release/simctl time summary "$metrics_dir/tl-1.bin" > /dev/null \
+  || { echo "simctl time could not parse its own dump"; exit 1; }
+target/release/simctl time diff "$metrics_dir/tl-1.bin" "$metrics_dir/tl-2.bin" \
   > /dev/null \
-  || { echo "timectl diff flagged identical dumps"; exit 1; }
+  || { echo "simctl time diff flagged identical dumps"; exit 1; }
 
 echo "=== timeline reproduces the fig14 cwnd curve ==="
 # The retired ad-hoc cwnd probe's replacement: fig14's timeline series
 # must carry the congestion window at the same 250 ms cadence, and
-# timectl query must be able to read the curve out of the dump.
+# simctl time query must be able to read the curve out of the dump.
 IMC_RESULTS_DIR="$metrics_dir" \
   target/release/fig14_cwnd --timeline "$metrics_dir/tl-f14.bin" \
   > /dev/null
-target/release/timectl query "$metrics_dir/tl-f14.bin" \
+target/release/simctl time query "$metrics_dir/tl-f14.bin" \
   base.tcp.flow0.cwnd_segments | grep -q "^0.25 " \
-  || { echo "timectl query found no cwnd sample at t=0.25s in the fig14 dump"; exit 1; }
-target/release/timectl plot "$metrics_dir/tl-f14.bin" \
+  || { echo "simctl time query found no cwnd sample at t=0.25s in the fig14 dump"; exit 1; }
+target/release/simctl time plot "$metrics_dir/tl-f14.bin" \
   base.tcp.flow0.cwnd_segments > /dev/null \
-  || { echo "timectl plot failed on the fig14 cwnd series"; exit 1; }
+  || { echo "simctl time plot failed on the fig14 cwnd series"; exit 1; }
 
 echo "=== perf merge determinism ==="
 # scripts/merge_perf.sh is the only writer of BENCH_simperf.json and

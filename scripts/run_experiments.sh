@@ -35,7 +35,7 @@ done
 
 # Experiments that double as wall-clock throughput benchmarks. Each
 # writes a per-binary `--perf` artifact plus a `--runprof` sidecar
-# (stage wall times, watermarks, peak RSS — see `perfctl summary`);
+# (stage wall times, watermarks, peak RSS — see `simctl perf summary`);
 # the `--perf` artifacts are merged into BENCH_simperf.json below.
 # Perf numbers are host-dependent and never byte-compared — they exist
 # to catch order-of-magnitude regressions.
@@ -78,8 +78,8 @@ echo "=== perf baseline: $OUTDIR/BENCH_simperf.json ==="
 # missing benches, not host-to-host jitter.
 if [[ -f BENCH_simperf.json ]]; then
   echo "=== perf regression gate (strict) ==="
-  cargo build --release -p perfctl --quiet
-  if ! target/release/perfctl regress "$OUTDIR/BENCH_simperf.json" \
+  cargo build --release -p simctl --quiet
+  if ! target/release/simctl perf regress "$OUTDIR/BENCH_simperf.json" \
       --baseline BENCH_simperf.json --tolerance 50% --strict; then
     echo "!! perf regression gate failed"
     fail=1
