@@ -21,7 +21,7 @@
 
 use wifi_core::netsim::testbed::{InterfererFault, Traffic};
 use wifi_core::prelude::*;
-use wifi_core::telemetry::{FlightDump, HealthReport, Registry};
+use wifi_core::telemetry::{FlightDump, HealthReport, Registry, Timeline};
 
 /// FNV-1a 64 over the artifact bytes: stable, dependency-free, and more
 /// than enough to detect drift (these are equality pins, not security).
@@ -171,10 +171,17 @@ fn fig15_artifacts_match_goldens() {
     ]);
 }
 
-/// Exactly `fig19_qoe`'s two runs and artifact assembly — the QoE
-/// subsystem (probe flows, per-client scoring, the `qoe-degraded`
-/// detector) joins fig15/fig18 under the byte-identity pin, so probe
-/// scheduling or scoring drift fails tier-1 instead of shipping.
+/// Exactly `fig19_qoe --timeline`'s two runs and artifact assembly —
+/// the QoE subsystem (probe flows, per-client scoring, the
+/// `qoe-degraded` detector) joins fig15/fig18 under the byte-identity
+/// pin, so probe scheduling or scoring drift fails tier-1 instead of
+/// shipping. These runs exercise every periodic duty of the run loop
+/// (beacons, interferer bursts, health samples, QoE probes and
+/// timeline ticks), and the timeline is sampled at the binary's default
+/// 100 ms: the metrics/trace/health pins are the same bytes the
+/// unsampled binary writes, so they double as the timeline's
+/// trajectory-neutrality proof, and `fig19.timeline` pins the TSL1
+/// dump itself.
 #[test]
 fn fig19_artifacts_match_goldens() {
     wifi_core::telemetry::runprof::set_enabled(true);
@@ -185,6 +192,7 @@ fn fig19_artifacts_match_goldens() {
             seed: 1919,
             interferer: Some(InterfererFault::default()),
             qoe: Some(ProbeConfig::default()),
+            timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(100))),
             ..TestbedConfig::default()
         })
         .run(SimDuration::from_secs(5))
@@ -201,10 +209,14 @@ fn fig19_artifacts_match_goldens() {
     let mut health = HealthReport::default();
     health.absorb("base", &base.health);
     health.absorb("fast", &fast.health);
+    let mut timeline = Timeline::default();
+    timeline.absorb("base", base.timeline.as_ref().expect("timeline on"));
+    timeline.absorb("fast", fast.timeline.as_ref().expect("timeline on"));
 
     check_goldens(&[
         ("fig19.metrics", fnv1a(metrics.to_json().as_bytes())),
         ("fig19.trace", fnv1a(&flight.to_bytes())),
         ("fig19.health", fnv1a(health.to_json().as_bytes())),
+        ("fig19.timeline", fnv1a(&timeline.to_bytes())),
     ]);
 }
