@@ -13,12 +13,27 @@ fn run(fastack: bool) -> TestbedReport {
         // The cwnd curves come off the timeline sampler (always on for
         // this figure: the CSV series need it regardless of argv; the
         // `--timeline` flag only controls whether the TSL1 store is
-        // dumped). 250 ms matches the retired ad-hoc cwnd probe, so
-        // the figure's series are byte-identical before/after.
+        // dumped), one point per flow every 250 ms.
         timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(250))),
         ..TestbedConfig::default()
     })
     .run(SimDuration::from_secs(10))
+}
+
+/// Flow `c`'s congestion window off the run's timeline: (seconds,
+/// segments) per tick.
+fn cwnd_curve(r: &TestbedReport, c: usize) -> Vec<(f64, f64)> {
+    r.timeline
+        .as_ref()
+        .expect("timeline on")
+        .range(
+            &format!("tcp.flow{c}.cwnd_segments"),
+            SimTime::ZERO,
+            SimTime::MAX,
+        )
+        .into_iter()
+        .map(|(at, w)| (at.as_nanos() as f64 / 1e9, w))
+        .collect()
 }
 
 fn main() {
@@ -36,14 +51,7 @@ fn main() {
     // Final-second cwnd per flow.
     let final_cwnd = |r: &TestbedReport| -> Vec<f64> {
         (0..10)
-            .map(|c| {
-                r.cwnd_trace
-                    .iter()
-                    .rev()
-                    .find(|(cc, _, _)| *cc == c)
-                    .map(|&(_, _, w)| w)
-                    .unwrap_or(0.0)
-            })
+            .map(|c| cwnd_curve(r, c).last().map_or(0.0, |&(_, w)| w))
             .collect()
     };
     let base_final = final_cwnd(&base);
@@ -74,11 +82,10 @@ fn main() {
         mean(&fast_final) > mean(&base_final),
     );
     // FastACK opens fast: mean cwnd at t=2s already near cap.
-    let early_fast: Vec<f64> = fast
-        .cwnd_trace
-        .iter()
-        .filter(|(_, t, _)| (1.9..2.1).contains(t))
-        .map(|&(_, _, w)| w)
+    let early_fast: Vec<f64> = (0..10)
+        .flat_map(|c| cwnd_curve(&fast, c))
+        .filter(|(t, _)| (1.9..2.1).contains(t))
+        .map(|(_, w)| w)
         .collect();
     exp.compare(
         "FastACK cwnd at t=2s",
@@ -88,22 +95,8 @@ fn main() {
     );
     // Dump traces for flows 0..3 of each.
     for c in 0..3 {
-        exp.series(
-            format!("cwnd-baseline-flow{c}"),
-            base.cwnd_trace
-                .iter()
-                .filter(|(cc, _, _)| *cc == c)
-                .map(|&(_, t, w)| (t, w))
-                .collect(),
-        );
-        exp.series(
-            format!("cwnd-fastack-flow{c}"),
-            fast.cwnd_trace
-                .iter()
-                .filter(|(cc, _, _)| *cc == c)
-                .map(|&(_, t, w)| (t, w))
-                .collect(),
-        );
+        exp.series(format!("cwnd-baseline-flow{c}"), cwnd_curve(&base, c));
+        exp.series(format!("cwnd-fastack-flow{c}"), cwnd_curve(&fast, c));
     }
     exp.absorb(&base.metrics);
     exp.absorb(&fast.metrics);

@@ -84,10 +84,6 @@ pub struct FleetConfig {
     /// Utilization regimes polled from the two radios (Fig. 2).
     pub profile_2_4: UtilizationProfile,
     pub profile_5: UtilizationProfile,
-    /// Health-rule catalog each network's detector engine evaluates
-    /// per epoch (the channel-flap rule watches the live switch
-    /// counter). `None` disables health entirely.
-    pub health_rules: Option<telemetry::HealthRules>,
     /// Sample a controller-side timeline at every epoch barrier: the
     /// per-network registries folded in id order (plus the controller's
     /// own epoch counters) snapshotted into [`FleetRun::timeline`] at
@@ -112,7 +108,6 @@ impl Default for FleetConfig {
             rf_churn: 0.05,
             profile_2_4: UtilizationProfile::FLEET_2_4,
             profile_5: UtilizationProfile::FLEET_5,
-            health_rules: Some(telemetry::HealthRules::default()),
             timeline: false,
         }
     }

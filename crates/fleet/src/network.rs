@@ -46,8 +46,8 @@ pub struct ManagedNetwork {
     /// Switches already folded into `c_switches`.
     counted_switches: usize,
     /// Per-network health engine — channel-flap over the live switch
-    /// counter, stepped once per epoch. `None` when disabled.
-    health: Option<HealthEngine>,
+    /// counter, stepped once per epoch.
+    health: HealthEngine,
     h_util_2_4: HistId,
     h_util_5: HistId,
 }
@@ -71,17 +71,11 @@ impl ManagedNetwork {
         let h_util_2_4 = metrics.histogram("fleet.net.util_2_4", 0.0, 1.0, 20);
         let h_util_5 = metrics.histogram("fleet.net.util_5", 0.0, 1.0, 20);
         let c_switches = metrics.counter("fleet.net.channel_switches");
-        let health = cfg.health_rules.and_then(|rules| {
-            let mut eng = HealthEngine::new();
-            if let Some(r) = rules.channel_flap {
-                eng.add(Box::new(ChannelFlap::new(
-                    "sched",
-                    "fleet.net.channel_switches",
-                    r,
-                )));
-            }
-            (!eng.is_empty()).then_some(eng)
-        });
+        let mut health = HealthEngine::new();
+        health.add(Box::new(ChannelFlap::new(
+            "sched",
+            "fleet.net.channel_switches",
+        )));
         ManagedNetwork {
             id,
             seed,
@@ -143,9 +137,7 @@ impl ManagedNetwork {
             self.sched.tick(now, &mut self.view);
         }
         self.sync_switches();
-        if let Some(eng) = self.health.as_mut() {
-            eng.step(now, &self.metrics);
-        }
+        self.health.step(now, &self.metrics);
     }
 
     /// Evaluate the final plan and summarize this network's run.
@@ -174,11 +166,7 @@ impl ManagedNetwork {
             .count("fleet.net.plans_accepted", accepted as u64);
         // Switches are counted live in `on_tick`; catch any stragglers.
         self.sync_switches();
-        let health = self
-            .health
-            .take()
-            .map(|eng| eng.finish(&FlightDump::default()))
-            .unwrap_or_default();
+        let health = std::mem::take(&mut self.health).finish(&FlightDump::default());
         self.report = Some(NetworkReport {
             id: self.id,
             seed: self.seed,

@@ -31,7 +31,7 @@ pub struct NetworkReport {
     pub util_2_4: Vec<(SimTime, f64)>,
     pub util_5: Vec<(SimTime, f64)>,
     /// This network's health verdict: the alert stream its detector
-    /// engine raised over the run (empty when health is disabled).
+    /// engine raised over the run.
     pub health: telemetry::HealthReport,
 }
 

@@ -33,11 +33,33 @@ use tcpsim::{
     AckSegment, CcAlgorithm, DataSegment, FlowId, ReceiverConfig, SenderConfig, TcpReceiver,
     TcpSender,
 };
-use telemetry::health::{standard_ap_detectors, AirtimeSlo, QoeDegraded, RtoStorm};
+use telemetry::health::{
+    AirtimeSlo, AmpduCollapse, FastAckStall, QoeDegraded, QueueStarvation, RtoStorm, SAMPLE_EVERY,
+};
 use telemetry::{
     AirKind, CauseId, CounterId, FlightDump, FlightRecorder, GaugeId, HealthEngine, HealthReport,
-    HealthRules, HistId, Registry, SpanId, Timeline, TimelineConfig, TraceRecord,
+    HistId, Registry, SpanId, Timeline, TimelineConfig, TraceRecord,
 };
+
+/// Wired one-way latency sender ↔ AP (the Fig. 13 MGig switch hop).
+const WIRED_LATENCY: SimDuration = SimDuration::from_micros(200);
+/// Mean client-side delay before a generated TCP ACK is even eligible
+/// for transmission ("many client devices take over 2 ms to even begin
+/// transmitting TCP ACKs", §5.1), exponential.
+const ACK_BASE_DELAY: SimDuration = SimDuration::from_millis(2);
+/// Fraction of clients that are "laggy": they experience episodic
+/// uplink stalls (power save, background scans, driver hiccups) — the
+/// paper's arbitrarily slow clients behind the > 400 ms latency tail
+/// and behind Fig. 14's baseline flows that never open their cwnd.
+const LAGGY_CLIENT_FRACTION: f64 = 0.25;
+/// Mean interval between stall episodes on a laggy client, seconds.
+const STALL_INTERVAL_S: f64 = 1.5;
+/// Stall episode duration range (uniform), ms.
+const STALL_MS: (f64, f64) = (60.0, 280.0);
+/// Beacon interval per AP (102.4 ms nominal, as on the Fig. 13 APs);
+/// beacons ride the legacy basic rate and consume airtime whether or
+/// not anyone is listening.
+const BEACON_INTERVAL: SimDuration = SimDuration::from_micros(102_400);
 
 /// Transport driving the downlink flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,8 +123,6 @@ pub struct TestbedConfig {
     pub fastack: Vec<bool>,
     /// Channel width used by the AP radios.
     pub width: Width,
-    /// Wired one-way latency sender ↔ AP.
-    pub wired_latency: SimDuration,
     /// Probability an MPDU's 802.11 delivery report is a "bad hint"
     /// (MAC said delivered, transport never got it; paper footnote 15:
     /// ≈ 1.5 %). Only meaningful on FastACK-enabled APs: it models the
@@ -123,19 +143,6 @@ pub struct TestbedConfig {
     pub cc: CcAlgorithm,
     /// Medium protection (Fig. 18's co-channel APs rely on RTS/CTS).
     pub protection: Protection,
-    /// Mean client-side delay before a generated TCP ACK is even
-    /// eligible for transmission ("many client devices take over 2 ms to
-    /// even begin transmitting TCP ACKs", §5.1), exponential.
-    pub ack_base_delay: SimDuration,
-    /// Fraction of clients that are "laggy": they experience episodic
-    /// uplink stalls (power save, background scans, driver hiccups) — the
-    /// paper's arbitrarily slow clients behind the > 400 ms latency tail
-    /// and behind Fig. 14's baseline flows that never open their cwnd.
-    pub laggy_client_fraction: f64,
-    /// Mean interval between stall episodes on a laggy client, seconds.
-    pub stall_interval_s: f64,
-    /// Stall episode duration range (uniform), ms.
-    pub stall_ms: (f64, f64),
     /// FastACK staging target per client, frames: the agent's
     /// queue-budget backpressure keeps about this much buffered per
     /// client (the Click pull stage refills the driver ring from here).
@@ -154,18 +161,13 @@ pub struct TestbedConfig {
     /// Time-series sampling (see [`telemetry::timeline`]): when set,
     /// a [`Timeline`] ticks on the config's cadence, snapshotting the
     /// selected registry counters/gauges plus the per-flow cwnd f64
-    /// series, and the legacy Fig. 14 `cwnd_trace` points are emitted
-    /// from the same tick. Sampling only reads — it schedules no
-    /// events, draws no randomness, and writes no metric — so every
-    /// other artifact stays byte-identical with it on or off. `None`
-    /// (the default) samples nothing.
+    /// series `tcp.flow<c>.cwnd_segments` (Fig. 14's curves). Sampling
+    /// only reads — it schedules no events, draws no randomness, and
+    /// writes no metric — so every other artifact stays byte-identical
+    /// with it on or off. `None` (the default) samples nothing.
     pub timeline: Option<TimelineConfig>,
     /// Workload driving the flows.
     pub traffic: Traffic,
-    /// Beacon interval per AP (102.4 ms nominal); beacons ride the
-    /// legacy basic rate and consume airtime whether or not anyone is
-    /// listening. `None` disables beaconing.
-    pub beacon_interval: Option<SimDuration>,
     /// Flight-recorder ring capacity per component (last-N window of
     /// typed trace records, see `telemetry::flight`). 0 disables
     /// recording entirely.
@@ -174,11 +176,11 @@ pub struct TestbedConfig {
     /// writes the recorder's last-N snapshot to this path before the
     /// panic unwinds.
     pub flight_dump_on_violation: Option<std::path::PathBuf>,
-    /// Health-rule catalog evaluated over the run's own metrics on the
-    /// rules' sampling cadence (see [`telemetry::health`]). Sampling
-    /// draws no randomness and schedules no events, so enabling it
-    /// cannot perturb the run's trajectory. `None` disables the engine.
-    pub health_rules: Option<HealthRules>,
+    /// Evaluate the health catalog over the run's own metrics every
+    /// [`SAMPLE_EVERY`] (see [`telemetry::health`]). Sampling draws no
+    /// randomness and schedules no events, so enabling it cannot
+    /// perturb the run's trajectory. `false` disables the engine.
+    pub health: bool,
     /// Optional fault injection: a non-WiFi interferer that switches on
     /// mid-run (the health layer's acceptance scenario).
     pub interferer: Option<InterfererFault>,
@@ -198,7 +200,6 @@ impl Default for TestbedConfig {
             clients_per_ap: 10,
             fastack: vec![true],
             width: Width::W80,
-            wired_latency: SimDuration::from_micros(200),
             // Footnote 15 reports "bad hints occur ≈1.5%" without a
             // denominator. Applied iid per MPDU at 45-60-deep aggregates
             // that would put a transport hole in nearly every aggregate
@@ -211,20 +212,15 @@ impl Default for TestbedConfig {
             snr_spread_db: 16.0,
             cc: CcAlgorithm::Cubic,
             protection: Protection::RtsCts,
-            ack_base_delay: SimDuration::from_millis(2),
-            laggy_client_fraction: 0.25,
-            stall_interval_s: 1.5,
-            stall_ms: (60.0, 280.0),
             ap_queue_frames: 256,
             ap_buffer_pool_frames: 1600,
             agent_cache_bytes: None,
             seed: 1,
             timeline: None,
             traffic: Traffic::Tcp,
-            beacon_interval: Some(SimDuration::from_micros(102_400)),
             flight_capacity: 1024,
             flight_dump_on_violation: None,
-            health_rules: Some(HealthRules::default()),
+            health: true,
             interferer: None,
             qoe: None,
         }
@@ -258,8 +254,6 @@ pub struct TestbedReport {
     /// AP-observed TCP latencies (data forwarded → client ACK covering
     /// it arrives back at the AP), seconds — the §4.6.2 definition.
     pub tcp_latencies: Vec<f64>,
-    /// cwnd traces: (client index, time s, cwnd segments).
-    pub cwnd_trace: Vec<(usize, f64, f64)>,
     /// FastACK agent stats per AP.
     pub agent_stats: Vec<fastack::AgentStats>,
     /// Per-flow TCP sender diagnostics.
@@ -278,11 +272,11 @@ pub struct TestbedReport {
     /// `fastack.*`, `air`). Serialize with [`FlightDump::to_bytes`];
     /// equal seeds yield byte-identical dumps.
     pub flight: FlightDump,
-    /// Health verdict for the run: the alert stream the configured
-    /// rule catalog raised over the metrics, with causal ids resolved
+    /// Health verdict for the run: the alert stream the health catalog
+    /// raised over the metrics, with causal ids resolved
     /// against the flight dump. Serialize with
     /// [`HealthReport::to_json`]; equal seeds yield byte-identical
-    /// JSON. Empty (zero steps) when `health_rules` is `None`.
+    /// JSON. Empty (zero steps) when `health` is off.
     pub health: HealthReport,
     /// Per-client application-layer QoE reports (probe-flow derived
     /// delay/jitter/loss/reorder windows and 0–100 scores). Empty when
@@ -376,11 +370,9 @@ pub struct Testbed {
     report: TestbedReport,
     busy: SimDuration,
     /// Time-series sampler (None when `cfg.timeline` is None); ticked
-    /// on its nominal grid in the run loop, sealed into the report.
+    /// on `timeline_grid` in the run loop, sealed into the report.
     timeline: Option<Timeline>,
-    next_timeline: SimTime,
     udp_seq: u64,
-    next_beacon: SimTime,
     /// Per-flow (last seq_tcp seen, when it last advanced) — drives the
     /// bad-hint liveness repair (see `fastack::Agent::force_repair`).
     repair_watch: Vec<(u64, SimTime)>,
@@ -389,16 +381,18 @@ pub struct Testbed {
     metrics: Registry,
     /// Causal flight recorder; snapshotted into the report at `finish`.
     flight: FlightRecorder,
-    /// Health-detector engine (None when `health_rules` is None);
-    /// stepped every `sample_every` of sim time in the run loop.
+    /// Health-detector engine (None when `health` is off); stepped on
+    /// `health_grid` in the run loop.
     health: Option<HealthEngine>,
-    next_health: SimTime,
-    /// Next interferer burst (MAX when no fault is configured).
-    next_interference: SimTime,
     /// Per-client QoE collectors (empty when probing is disabled).
     qoe: Vec<qoe::ClientQoe>,
-    /// Next probe-injection tick (MAX when probing is disabled).
-    next_probe: SimTime,
+    /// The run loop's periodic duties, each on its own nominal grid
+    /// (off when its feature is not configured).
+    beacon_grid: Cadence,
+    interferer_grid: Cadence,
+    health_grid: Cadence,
+    probe_grid: Cadence,
+    timeline_grid: Cadence,
     sp_ap_txop: SpanId,
     sp_client_txop: SpanId,
     sp_beacon: SpanId,
@@ -438,11 +432,89 @@ pub struct Testbed {
     per_cache: PerCache,
 }
 
+/// A fixed grid of nominal instants for one periodic duty of the run
+/// loop. `due` hands out each instant once, on the first loop pass at or
+/// after it; an off grid (`next = SimTime::MAX`) is never due.
+struct Cadence {
+    next: SimTime,
+    every: SimDuration,
+}
+
+impl Cadence {
+    const OFF: Cadence = Cadence {
+        next: SimTime::MAX,
+        every: SimDuration::ZERO,
+    };
+
+    fn due(&mut self, now: SimTime) -> Option<SimTime> {
+        if now < self.next {
+            return None;
+        }
+        let at = self.next;
+        self.next += self.every;
+        Some(at)
+    }
+}
+
 /// A station contending in one medium round.
 #[derive(Clone, Copy)]
 enum Who {
     Ap(usize),
     Client(usize),
+}
+
+/// The testbed's health catalog over the metric paths `Testbed::new`
+/// registers. Per AP, over the flows terminating there: A-MPDU
+/// collapse, FastACK stall (FastACK APs only) and queue starvation.
+/// Then RTO storms over every flow, the airtime SLO over the collision
+/// domain and, with QoE probing on, QoE degradation per AP. Detector
+/// order is part of the health report's byte-stability contract.
+fn health_catalog(cfg: &TestbedConfig) -> HealthEngine {
+    let per_ap = cfg.clients_per_ap;
+    let mut eng = HealthEngine::new();
+    for a in 0..cfg.n_aps {
+        let comp = format!("ap{a}");
+        let flows: Vec<u64> = (0..per_ap).map(|k| (a * per_ap + k) as u64 + 1).collect();
+        eng.add(Box::new(AmpduCollapse::new(
+            comp.clone(),
+            format!("mac.ap{a}.ampdu.aggregates"),
+            format!("mac.ap{a}.ampdu.frames"),
+            flows.clone(),
+        )));
+        if cfg.fastack[a] {
+            eng.add(Box::new(FastAckStall::new(
+                comp.clone(),
+                format!("health.ap{a}.fast_acks"),
+                format!("health.ap{a}.inflight"),
+                flows.clone(),
+            )));
+        }
+        eng.add(Box::new(QueueStarvation::new(
+            comp,
+            format!("health.ap{a}.backlog"),
+            format!("mac.ap{a}.ampdu.aggregates"),
+            flows,
+        )));
+    }
+    let all_flows: Vec<u64> = (1..=(cfg.n_aps * per_ap) as u64).collect();
+    eng.add(Box::new(RtoStorm::new(
+        "tcp",
+        "health.tcp.timeouts",
+        all_flows,
+    )));
+    eng.add(Box::new(AirtimeSlo::new("air", "health.air.busy_ns")));
+    if cfg.qoe.is_some() {
+        for a in 0..cfg.n_aps {
+            let watch: Vec<(String, u64)> = (0..per_ap)
+                .map(|k| {
+                    let c = a * per_ap + k;
+                    (format!("qoe.client{c}.score"), qoe::probe_flow(c))
+                })
+                .collect();
+            eng.add(Box::new(QoeDegraded::new(format!("ap{a}"), watch)));
+        }
+    }
+    eng
 }
 
 impl Testbed {
@@ -470,9 +542,9 @@ impl Testbed {
                 (c % cfg.clients_per_ap) as f64 / (cfg.clients_per_ap - 1).max(1) as f64
             };
             let snr = cfg.base_snr_db - frac * cfg.snr_spread_db + rng.normal(0.0, 1.0);
-            let laggy = rng.chance(cfg.laggy_client_fraction);
+            let laggy = rng.chance(LAGGY_CLIENT_FRACTION);
             let next_stall_at = if laggy {
-                SimTime::ZERO + SimDuration::from_secs_f64(rng.exponential(cfg.stall_interval_s))
+                SimTime::ZERO + SimDuration::from_secs_f64(rng.exponential(STALL_INTERVAL_S))
             } else {
                 SimTime::MAX
             };
@@ -551,66 +623,39 @@ impl Testbed {
             Vec::new()
         };
 
-        // The standard rule catalog, scoped per AP (each watches only
-        // the flows terminating there) plus the shared TCP and airtime
-        // detectors over the whole collision domain.
-        let health = cfg.health_rules.and_then(|rules| {
-            let mut eng = HealthEngine::new();
-            for a in 0..cfg.n_aps {
-                let flows: Vec<u64> = (0..cfg.clients_per_ap)
-                    .map(|k| (a * cfg.clients_per_ap + k) as u64 + 1)
-                    .collect();
-                for d in standard_ap_detectors(a, flows, cfg.fastack[a], &rules) {
-                    eng.add(d);
-                }
+        let health = cfg.health.then(|| health_catalog(&cfg));
+        let health_grid = if cfg.health {
+            Cadence {
+                next: SimTime::ZERO,
+                every: SAMPLE_EVERY,
             }
-            let all_flows: Vec<u64> = (1..=n_clients as u64).collect();
-            if let Some(r) = rules.rto_storm {
-                eng.add(Box::new(RtoStorm::new(
-                    "tcp",
-                    "health.tcp.timeouts",
-                    all_flows,
-                    r,
-                )));
-            }
-            if let Some(r) = rules.airtime_slo {
-                eng.add(Box::new(AirtimeSlo::new("air", "health.air.busy_ns", r)));
-            }
-            // QoE degradation watches each AP's clients' score gauges;
-            // like the gauges themselves it exists only when probing is
-            // configured.
-            if cfg.qoe.is_some() {
-                if let Some(r) = rules.qoe_degraded {
-                    for a in 0..cfg.n_aps {
-                        let watch: Vec<(String, u64)> = (0..cfg.clients_per_ap)
-                            .map(|k| {
-                                let c = a * cfg.clients_per_ap + k;
-                                (format!("qoe.client{c}.score"), qoe::probe_flow(c))
-                            })
-                            .collect();
-                        eng.add(Box::new(QoeDegraded::new(format!("ap{a}"), watch, r)));
-                    }
-                }
-            }
-            (!eng.is_empty()).then_some(eng)
-        });
+        } else {
+            Cadence::OFF
+        };
 
         let flight = FlightRecorder::new(cfg.flight_capacity);
         if let Some(path) = &cfg.flight_dump_on_violation {
             telemetry::flight::install_violation_dump(&flight, path.clone());
         }
-        let next_interference = cfg.interferer.map_or(SimTime::MAX, |i| i.at);
+        let interferer_grid = cfg.interferer.map_or(Cadence::OFF, |i| Cadence {
+            next: i.at,
+            every: i.period,
+        });
         let qoe_state: Vec<qoe::ClientQoe> = match &cfg.qoe {
             Some(p) => (0..n_clients).map(|_| qoe::ClientQoe::new(p)).collect(),
             None => Vec::new(),
         };
-        let next_probe = cfg
-            .qoe
-            .as_ref()
-            .map_or(SimTime::MAX, |p| SimTime::ZERO + p.interval());
+        let probe_grid = cfg.qoe.map_or(Cadence::OFF, |p| Cadence {
+            next: SimTime::ZERO + p.interval(),
+            every: p.interval(),
+        });
 
         let width = cfg.width;
         let timeline = cfg.timeline.as_ref().map(Timeline::new);
+        let timeline_grid = timeline.as_ref().map_or(Cadence::OFF, |t| Cadence {
+            next: SimTime::ZERO,
+            every: t.every(),
+        });
         Testbed {
             cfg,
             queue: EventQueue::new(),
@@ -622,17 +667,20 @@ impl Testbed {
             report: TestbedReport::default(),
             busy: SimDuration::ZERO,
             timeline,
-            next_timeline: SimTime::ZERO,
             udp_seq: 0,
-            next_beacon: SimTime::ZERO,
             repair_watch: vec![(0, SimTime::ZERO); n_clients],
             metrics,
             flight,
             health,
-            next_health: SimTime::ZERO,
-            next_interference,
             qoe: qoe_state,
-            next_probe,
+            beacon_grid: Cadence {
+                next: SimTime::ZERO,
+                every: BEACON_INTERVAL,
+            },
+            interferer_grid,
+            health_grid,
+            probe_grid,
+            timeline_grid,
             sp_ap_txop,
             sp_client_txop,
             sp_beacon,
@@ -697,59 +745,46 @@ impl Testbed {
             // 2b. Beacons: every AP transmits one per interval at the
             // basic control rate (~120 us of airtime for a 300-byte
             // frame + DIFS), independent of traffic.
-            if let Some(interval) = self.cfg.beacon_interval {
-                if self.queue.now() >= self.next_beacon {
-                    let one =
-                        phy80211::airtime::control_frame_duration(300) + phy80211::airtime::DIFS;
-                    let all = SimDuration::from_nanos(one.as_nanos() * self.cfg.n_aps as u64);
-                    let sp = self.metrics.enter(self.sp_beacon, self.queue.now());
-                    self.occupy(all);
-                    self.metrics.exit(sp, self.queue.now());
-                    self.flight.emit(
-                        "air",
-                        self.queue.now(),
-                        CauseId::NONE,
-                        TraceRecord::AirtimeSpan {
-                            kind: AirKind::Beacon,
-                            dur: all,
-                        },
-                    );
-                    self.next_beacon += interval;
-                }
+            if self.beacon_grid.due(self.queue.now()).is_some() {
+                let one = phy80211::airtime::control_frame_duration(300) + phy80211::airtime::DIFS;
+                let all = SimDuration::from_nanos(one.as_nanos() * self.cfg.n_aps as u64);
+                let sp = self.metrics.enter(self.sp_beacon, self.queue.now());
+                self.occupy(all);
+                self.metrics.exit(sp, self.queue.now());
+                self.flight.emit(
+                    "air",
+                    self.queue.now(),
+                    CauseId::NONE,
+                    TraceRecord::AirtimeSpan {
+                        kind: AirKind::Beacon,
+                        dur: all,
+                    },
+                );
             }
             // 2c. Interferer bursts (fault injection): once switched
             // on, the interferer holds the medium for `duty` of every
             // period. Stations defer exactly as they do for beacons.
-            if let Some(intf) = self.cfg.interferer {
-                if self.queue.now() >= self.next_interference {
-                    let hold = SimDuration::from_secs_f64(intf.period.as_secs_f64() * intf.duty);
-                    let sp = self.metrics.enter(self.sp_interferer, self.queue.now());
-                    self.occupy(hold);
-                    self.metrics.exit(sp, self.queue.now());
-                    self.flight.emit(
-                        "air",
-                        self.queue.now(),
-                        CauseId::NONE,
-                        TraceRecord::AirtimeSpan {
-                            kind: AirKind::Interferer,
-                            dur: hold,
-                        },
-                    );
-                    self.next_interference += intf.period;
-                }
+            if self.interferer_grid.due(self.queue.now()).is_some() {
+                let intf = self.cfg.interferer.expect("interferer grid is off");
+                let hold = SimDuration::from_secs_f64(intf.period.as_secs_f64() * intf.duty);
+                let sp = self.metrics.enter(self.sp_interferer, self.queue.now());
+                self.occupy(hold);
+                self.metrics.exit(sp, self.queue.now());
+                self.flight.emit(
+                    "air",
+                    self.queue.now(),
+                    CauseId::NONE,
+                    TraceRecord::AirtimeSpan {
+                        kind: AirKind::Interferer,
+                        dur: hold,
+                    },
+                );
             }
-            // 2d. Health sampling on the rules' fixed cadence. The
-            // sampler only refreshes gauges and steps the detector
-            // engine — no randomness, no events — so enabling it leaves
-            // the run's trajectory bit-identical.
-            if let Some(rules) = self.cfg.health_rules {
-                if self.health.is_some() {
-                    while self.queue.now() >= self.next_health {
-                        let at = self.next_health;
-                        self.health_sample(at);
-                        self.next_health += rules.sample_every;
-                    }
-                }
+            // 2d. Health sampling on its fixed cadence, catching up on
+            // every missed instant. The sampler only refreshes gauges
+            // and steps the detector engine — no randomness, no events.
+            while let Some(at) = self.health_grid.due(self.queue.now()) {
+                self.health_sample(at);
             }
             // 2e. QoE probe injection on its fixed cadence: one tiny
             // timestamped MSDU per client per tick, enqueued behind the
@@ -757,12 +792,8 @@ impl Testbed {
             // aggregation, retries — so their one-way delay measures
             // what an application flow would experience. Injection draws
             // no randomness.
-            if let Some(pcfg) = self.cfg.qoe {
-                while self.queue.now() >= self.next_probe {
-                    let at = self.next_probe;
-                    self.inject_probes(&pcfg, at);
-                    self.next_probe += pcfg.interval();
-                }
+            while let Some(at) = self.probe_grid.due(self.queue.now()) {
+                self.inject_probes(at);
             }
             // 3. One contention round on the medium.
             if !self.medium_round() {
@@ -794,17 +825,16 @@ impl Testbed {
                         }
                     }
                 }
-                // Interferer bursts wake the loop on their own (folded
-                // only when configured, so fault-free runs keep their
-                // exact event trajectory).
-                if self.cfg.interferer.is_some() {
-                    fold(Some(self.next_interference));
-                }
-                // Probe ticks likewise wake the loop only when QoE
-                // probing is configured.
-                if self.cfg.qoe.is_some() {
-                    fold(Some(self.next_probe));
-                }
+                // Interferer bursts and probe ticks put frames or
+                // energy on the medium, so they wake the loop (an off
+                // grid's MAX never wins). Health and timeline ticks must
+                // not: every wake is an extra loop pass at a new
+                // instant, which can fire a beacon or roll a stall
+                // earlier than an unobserved run would. Unwoken, their
+                // samples land on the next pass, stamped nominally, and
+                // observation cannot perturb the trajectory.
+                fold(Some(self.interferer_grid.next));
+                fold(Some(self.probe_grid.next));
                 match wake {
                     Some(t) if t < end => {
                         let t = t.max(self.queue.now());
@@ -820,39 +850,26 @@ impl Testbed {
                     _ => break,
                 }
             }
-            // 4. Timeline tick (subsumes the old ad-hoc Fig. 14 cwnd
-            // probe): catch up to now on the nominal grid, staging the
-            // per-flow cwnd series and snapshotting the registry at
-            // each tick's nominal instant. Reads only — no events, no
-            // randomness, no metric writes — so the trajectory and
-            // every other artifact are bit-identical with sampling on
-            // or off. Like the old probe (and unlike interferer/probe
-            // ticks) this is not folded into the idle wake: samples
-            // land when the loop is awake anyway, stamped nominally.
-            if let Some(every) = self.timeline.as_ref().map(|t| t.every()) {
-                while self.queue.now() >= self.next_timeline {
-                    let at = self.next_timeline;
-                    self.timeline_tick(at);
-                    self.next_timeline += every;
-                }
+            // 4. Timeline ticks, after the medium round: catch up to
+            // now on the nominal grid, staging the per-flow cwnd series
+            // and snapshotting the registry at each tick's nominal
+            // instant. Reads only — no events, no randomness, no metric
+            // writes.
+            while let Some(at) = self.timeline_grid.due(self.queue.now()) {
+                self.timeline_tick(at);
             }
         }
 
         self.finish(end)
     }
 
-    /// One timeline tick at its nominal instant: emit the legacy
-    /// Fig. 14 `cwnd_trace` point and stage the per-flow cwnd f64
-    /// series (exactly the values, times and order the retired
-    /// `cwnd_sample_every` probe produced), then snapshot the selected
+    /// One timeline tick at its nominal instant: stage the per-flow
+    /// cwnd f64 series (Fig. 14's curves), then snapshot the selected
     /// registry counters/gauges. Reads only.
     fn timeline_tick(&mut self, at: SimTime) {
         let tl = self.timeline.as_mut().expect("timeline enabled");
-        let t = at.as_nanos() as f64 / 1e9;
         for (c, s) in self.senders.iter().enumerate() {
-            let w = s.cwnd_segments();
-            self.report.cwnd_trace.push((c, t, w));
-            tl.set_f64(&format!("tcp.flow{c}.cwnd_segments"), w);
+            tl.set_f64(&format!("tcp.flow{c}.cwnd_segments"), s.cwnd_segments());
         }
         tl.sample(at, &self.metrics);
     }
@@ -999,7 +1016,7 @@ impl Testbed {
                 continue; // dropped at the switch
             }
             self.queue
-                .schedule(now + self.cfg.wired_latency, Event::WireData(ap, seg));
+                .schedule(now + WIRED_LATENCY, Event::WireData(ap, seg));
         }
     }
 
@@ -1092,7 +1109,7 @@ impl Testbed {
                 Action::DropData(_) => {}
                 Action::SendAckUpstream(ack) => {
                     self.queue
-                        .schedule(now + self.cfg.wired_latency, Event::WireAck(ack));
+                        .schedule(now + WIRED_LATENCY, Event::WireAck(ack));
                 }
                 Action::LocalRetransmit(seg) => {
                     let mpdu = QueuedMpdu {
@@ -1240,7 +1257,8 @@ impl Testbed {
     /// send time (the collector keeps the timestamp; the MPDU id packs
     /// the probe flow + sequence, which is also the flight-record cause
     /// joining the tx record to the MAC's delivery report).
-    fn inject_probes(&mut self, pcfg: &qoe::ProbeConfig, at: SimTime) {
+    fn inject_probes(&mut self, at: SimTime) {
+        let pcfg = self.cfg.qoe.expect("probe grid is off");
         for c in 0..self.clients.len() {
             let seq = self.qoe[c].on_sent(at);
             let flow = qoe::probe_flow(c);
@@ -1276,21 +1294,19 @@ impl Testbed {
 
     /// Queue a client-generated ACK with its release delay.
     fn push_client_ack(&mut self, c: usize, ack: AckSegment, now: SimTime) {
-        let delay =
-            SimDuration::from_secs_f64(self.rng.exponential(self.cfg.ack_base_delay.as_secs_f64()));
+        let delay = SimDuration::from_secs_f64(self.rng.exponential(ACK_BASE_DELAY.as_secs_f64()));
         self.clients[c].ack_queue.push_back((now + delay, ack));
     }
 
     /// Advance laggy clients' stall episodes.
     fn roll_stalls(&mut self, now: SimTime) {
-        let (lo, hi) = self.cfg.stall_ms;
-        let interval = self.cfg.stall_interval_s;
+        let (lo, hi) = STALL_MS;
         for c in self.clients.iter_mut() {
             if now >= c.next_stall_at {
                 let dur = SimDuration::from_secs_f64(self.rng.uniform(lo, hi) / 1e3);
                 c.stall_until = now + dur;
                 c.next_stall_at = c.stall_until
-                    + SimDuration::from_secs_f64(self.rng.exponential(interval).max(0.05));
+                    + SimDuration::from_secs_f64(self.rng.exponential(STALL_INTERVAL_S).max(0.05));
             }
         }
     }
@@ -1581,7 +1597,7 @@ impl Testbed {
                 self.record_action(&act, self.cfg.fastack[a], now);
                 if let Action::SendAckUpstream(ack) = act {
                     self.queue
-                        .schedule(now + self.cfg.wired_latency, Event::WireAck(ack));
+                        .schedule(now + WIRED_LATENCY, Event::WireAck(ack));
                 }
             }
             self.act_buf = actions;
@@ -1717,8 +1733,7 @@ impl Testbed {
                 self.record_action(&act, self.cfg.fastack[ap], now);
                 match act {
                     Action::SendAckUpstream(a2) => {
-                        self.queue
-                            .schedule(now + self.cfg.wired_latency, Event::WireAck(a2));
+                        self.queue.schedule(now + WIRED_LATENCY, Event::WireAck(a2));
                     }
                     Action::LocalRetransmit(seg) => {
                         let slot = c % self.cfg.clients_per_ap;
@@ -1907,28 +1922,7 @@ mod tests {
     }
 
     #[test]
-    fn cwnd_trace_is_recorded() {
-        let r = quick(
-            TestbedConfig {
-                clients_per_ap: 2,
-                fastack: vec![true],
-                timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(100))),
-                ..TestbedConfig::default()
-            },
-            2,
-        );
-        assert!(r.cwnd_trace.len() >= 2 * 15, "{}", r.cwnd_trace.len());
-        // cwnd grows over the run with FastACK.
-        let last = r.cwnd_trace.iter().rev().find(|t| t.0 == 0).unwrap();
-        assert!(last.2 > 10.0, "{last:?}");
-    }
-
-    /// The timeline's f64 cwnd series reproduces the legacy
-    /// `cwnd_trace` points bit-for-bit: same instants (to the printed
-    /// f64 second), same values, per flow — the acceptance criterion
-    /// for retiring the ad-hoc cwnd sampler.
-    #[test]
-    fn timeline_cwnd_series_matches_cwnd_trace() {
+    fn cwnd_series_is_recorded() {
         let r = quick(
             TestbedConfig {
                 clients_per_ap: 2,
@@ -1939,24 +1933,12 @@ mod tests {
             2,
         );
         let tl = r.timeline.as_ref().expect("timeline enabled");
-        for c in 0..2usize {
-            let series = tl.range(
-                &format!("tcp.flow{c}.cwnd_segments"),
-                SimTime::ZERO,
-                SimTime::MAX,
-            );
-            let legacy: Vec<(f64, f64)> = r
-                .cwnd_trace
-                .iter()
-                .filter(|t| t.0 == c)
-                .map(|&(_, at, w)| (at, w))
-                .collect();
-            assert_eq!(series.len(), legacy.len(), "flow {c}");
-            for ((at, w), (lat, lw)) in series.iter().zip(&legacy) {
-                assert_eq!(at.as_nanos() as f64 / 1e9, *lat, "flow {c}");
-                assert_eq!(w.to_bits(), lw.to_bits(), "flow {c}");
-            }
-        }
+        let flow0 = tl.range("tcp.flow0.cwnd_segments", SimTime::ZERO, SimTime::MAX);
+        let flow1 = tl.range("tcp.flow1.cwnd_segments", SimTime::ZERO, SimTime::MAX);
+        assert!(flow0.len() + flow1.len() >= 2 * 15, "{}", flow0.len());
+        // cwnd grows over the run with FastACK.
+        let last = flow0.last().unwrap();
+        assert!(last.1 > 10.0, "{last:?}");
         // The registry series rode along: health gauges are visible as
         // timeline series on the same grid.
         assert!(tl.series_names().any(|n| n == "health.air.busy_ns"));
@@ -2148,7 +2130,7 @@ mod tests {
 
     #[test]
     fn clean_run_raises_no_alerts() {
-        // The default rule catalog over a fault-free run must stay
+        // The health catalog over a fault-free run must stay
         // silent — the central false-positive guarantee.
         let r = quick(
             TestbedConfig {
@@ -2169,7 +2151,7 @@ mod tests {
             TestbedConfig {
                 clients_per_ap: 2,
                 fastack: vec![true],
-                health_rules: None,
+                health: false,
                 ..TestbedConfig::default()
             },
             1,

@@ -283,7 +283,7 @@ pub fn explain(loaded: &Loaded, idx: Option<usize>, dump: Option<&FlightDump>) -
         (Some(f), Some(d)) => {
             // The section label is part of the stable output format
             // (EXPERIMENTS.md quotes it), so it keeps its wording.
-            out.push_str(&format!("causal chain (tracectl chain {f}):\n"));
+            out.push_str(&format!("causal chain (simctl trace chain {f}):\n"));
             out.push_str(&crate::trace::chain(d, Some(f)));
         }
     }
@@ -507,7 +507,7 @@ mod tests {
 
         let dump = sample_dump();
         let out = explain(&l, None, Some(&dump));
-        assert!(out.contains("causal chain (tracectl chain 3)"), "{out}");
+        assert!(out.contains("causal chain (simctl trace chain 3)"), "{out}");
         assert!(out.contains("chain complete"), "{out}");
 
         // The warning has no causal link.

@@ -41,8 +41,8 @@ impl Default for Window {
     }
 }
 
-/// Seconds on the legacy bench axis: the exact expression the testbed
-/// uses for `cwnd_trace`, so query output tokens match the figure JSON.
+/// Seconds on the bench axis: the exact expression `fig14_cwnd` uses
+/// for its cwnd curves, so query output tokens match the figure JSON.
 fn secs(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e9
 }

@@ -47,6 +47,7 @@
 //! assert_eq!(dump.chain(7).len(), 1);
 //! ```
 
+use crate::reader::Reader;
 use sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::fmt;
@@ -600,12 +601,12 @@ impl FlightDump {
     /// Parse a dump produced by [`FlightDump::to_bytes`]. Strict: any
     /// truncation, unknown tag, or trailing garbage is an error.
     pub fn parse(bytes: &[u8]) -> Result<FlightDump, String> {
-        let mut r = Reader { bytes, off: 0 };
+        let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
         if magic != MAGIC {
             return Err(format!("bad magic {magic:02x?}, want {MAGIC:02x?}"));
         }
-        let n_components = r.u32()? as usize;
+        let n_components = r.count()?;
         let mut components = Vec::with_capacity(n_components);
         for _ in 0..n_components {
             let name_len = r.u16()? as usize;
@@ -613,7 +614,7 @@ impl FlightDump {
                 .map_err(|e| format!("component name not UTF-8: {e}"))?;
             let capacity = r.u64()?;
             let dropped = r.u64()?;
-            let n_records = r.u32()? as usize;
+            let n_records = r.count()?;
             let mut records = Vec::with_capacity(n_records);
             for _ in 0..n_records {
                 let len = r.u16()? as usize;
@@ -634,46 +635,6 @@ impl FlightDump {
             ));
         }
         Ok(FlightDump { components })
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .off
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("truncated dump at offset {}", self.off))?;
-        let s = &self.bytes[self.off..end];
-        self.off = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
     }
 }
 
@@ -755,10 +716,7 @@ fn encode_event(ev: &FlightEvent) -> Vec<u8> {
 }
 
 fn decode_event(payload: &[u8]) -> Result<FlightEvent, String> {
-    let mut r = Reader {
-        bytes: payload,
-        off: 0,
-    };
+    let mut r = Reader::new(payload);
     let at = SimTime::from_nanos(r.u64()?);
     let cause = CauseId(r.u64()?);
     let tag = r.u8()?;
@@ -1012,6 +970,15 @@ mod tests {
         let tag_off = 4 + 4 + 2 + 3 + 8 + 8 + 4 + 2 + 16;
         bad_tag[tag_off] = 250;
         assert!(FlightDump::parse(&bad_tag).is_err());
+    }
+
+    /// A corrupt component count is an `Err`, not a capacity request
+    /// the allocator aborts the process on.
+    #[test]
+    fn parse_rejects_a_component_count_beyond_the_dump() {
+        let mut bytes = b"FLT1".to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(FlightDump::parse(&bytes).unwrap_err().contains("exceeds"));
     }
 
     #[test]

@@ -408,208 +408,11 @@ fn parse_count_map(cur: &mut Cursor<'_>) -> Result<BTreeMap<String, u64>, String
     }
 }
 
-// ---- rule configuration -------------------------------------------
-
-/// Per-rule tuning for [`ChannelFlap`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChannelFlapRule {
-    /// Evaluation steps (collection epochs) per rolling window.
-    pub window: usize,
-    /// Raise when the windowed switch count reaches this level.
-    pub raise: f64,
-    /// Clear when it falls back to (or below) this level.
-    pub clear: f64,
-    /// Critical when the level reaches this.
-    pub critical: f64,
-    /// Initial steps to ignore: the first plan of a fresh network is
-    /// *expected* to untangle the topology with a burst of switches.
-    pub warmup_steps: u32,
-}
-
-impl Default for ChannelFlapRule {
-    fn default() -> ChannelFlapRule {
-        ChannelFlapRule {
-            window: 4,
-            raise: 3.0,
-            clear: 0.0,
-            critical: 6.0,
-            warmup_steps: 1,
-        }
-    }
-}
-
-/// Per-rule tuning for [`AmpduCollapse`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AmpduCollapseRule {
-    /// Window of per-step mean aggregate sizes the median is taken of.
-    pub window: usize,
-    /// EWMA smoothing for the long-run baseline aggregate size.
-    pub baseline_alpha: f64,
-    /// Raise when baseline / windowed-median reaches this ratio.
-    pub raise_ratio: f64,
-    /// Clear when the ratio recovers to (or below) this.
-    pub clear_ratio: f64,
-    /// Critical when the ratio reaches this.
-    pub critical_ratio: f64,
-    /// Steps with fewer new aggregates than this carry no signal and
-    /// are skipped (idle links must not look collapsed).
-    pub min_aggregates: f64,
-}
-
-impl Default for AmpduCollapseRule {
-    fn default() -> AmpduCollapseRule {
-        AmpduCollapseRule {
-            window: 6,
-            // Slow enough that the baseline is still "the healthy
-            // past" while the 6-step median refills with collapsed
-            // samples; a fast baseline would chase the collapse down
-            // and never see the ratio cross.
-            baseline_alpha: 0.02,
-            raise_ratio: 1.8,
-            clear_ratio: 1.4,
-            critical_ratio: 3.0,
-            min_aggregates: 4.0,
-        }
-    }
-}
-
-/// Per-rule tuning for [`FastAckStall`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FastAckStallRule {
-    /// Raise after this many consecutive steps with zero synth-ACK
-    /// emissions while segments are in flight.
-    pub gap_steps: f64,
-    /// Critical after this many.
-    pub critical_steps: f64,
-    /// In-flight segments required for silence to be suspicious.
-    pub min_inflight: f64,
-}
-
-impl Default for FastAckStallRule {
-    fn default() -> FastAckStallRule {
-        FastAckStallRule {
-            gap_steps: 8.0,
-            critical_steps: 16.0,
-            min_inflight: 4.0,
-        }
-    }
-}
-
-/// Per-rule tuning for [`RtoStorm`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RtoStormRule {
-    pub window: usize,
-    /// Raise when this many RTO firings land inside one window.
-    pub raise: f64,
-    pub clear: f64,
-    pub critical: f64,
-}
-
-impl Default for RtoStormRule {
-    fn default() -> RtoStormRule {
-        RtoStormRule {
-            window: 8,
-            raise: 6.0,
-            clear: 1.0,
-            critical: 12.0,
-        }
-    }
-}
-
-/// Per-rule tuning for [`AirtimeSlo`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AirtimeSloRule {
-    pub window: usize,
-    /// Raise when windowed mean utilization exceeds this budget.
-    pub raise_util: f64,
-    pub clear_util: f64,
-    pub critical_util: f64,
-}
-
-impl Default for AirtimeSloRule {
-    fn default() -> AirtimeSloRule {
-        AirtimeSloRule {
-            window: 8,
-            raise_util: 0.999,
-            clear_util: 0.95,
-            critical_util: 0.9999,
-        }
-    }
-}
-
-/// Per-rule tuning for [`QueueStarvation`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueStarvationRule {
-    /// Raise after this many consecutive steps with backlog but zero
-    /// service.
-    pub stall_steps: f64,
-    pub critical_steps: f64,
-    /// Backlogged frames required for zero service to be suspicious.
-    pub min_backlog: f64,
-}
-
-impl Default for QueueStarvationRule {
-    fn default() -> QueueStarvationRule {
-        QueueStarvationRule {
-            stall_steps: 8.0,
-            critical_steps: 16.0,
-            min_backlog: 1.0,
-        }
-    }
-}
-
-/// Per-rule tuning for [`QoeDegraded`]. Levels are *penalties*
-/// (`100 - score`), so "raise at 40" means "raise when the worst
-/// watched client's QoE score drops to 60 or below".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QoeDegradedRule {
-    /// Raise when the worst client's penalty reaches this.
-    pub raise_penalty: f64,
-    /// Clear when it falls back to (or below) this.
-    pub clear_penalty: f64,
-    /// Critical when it reaches this (score ≤ 100 − critical).
-    pub critical_penalty: f64,
-}
-
-impl Default for QoeDegradedRule {
-    fn default() -> QoeDegradedRule {
-        QoeDegradedRule {
-            raise_penalty: 40.0,
-            clear_penalty: 25.0,
-            critical_penalty: 55.0,
-        }
-    }
-}
-
-/// The standard rule set, `None` per rule to disable it. `Copy` so the
-/// fleet config stays `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthRules {
-    /// Detector evaluation cadence (the testbed's collection epoch).
-    pub sample_every: SimDuration,
-    pub channel_flap: Option<ChannelFlapRule>,
-    pub ampdu_collapse: Option<AmpduCollapseRule>,
-    pub fastack_stall: Option<FastAckStallRule>,
-    pub rto_storm: Option<RtoStormRule>,
-    pub airtime_slo: Option<AirtimeSloRule>,
-    pub queue_starvation: Option<QueueStarvationRule>,
-    pub qoe_degraded: Option<QoeDegradedRule>,
-}
-
-impl Default for HealthRules {
-    fn default() -> HealthRules {
-        HealthRules {
-            sample_every: SimDuration::from_millis(250),
-            channel_flap: Some(ChannelFlapRule::default()),
-            ampdu_collapse: Some(AmpduCollapseRule::default()),
-            fastack_stall: Some(FastAckStallRule::default()),
-            rto_storm: Some(RtoStormRule::default()),
-            airtime_slo: Some(AirtimeSloRule::default()),
-            queue_starvation: Some(QueueStarvationRule::default()),
-            qoe_degraded: Some(QoeDegradedRule::default()),
-        }
-    }
-}
+/// The testbed's detector evaluation cadence (its collection epoch).
+/// Detector windows and streaks below count evaluation steps: one per
+/// `SAMPLE_EVERY` in the testbed, one per collection period in a fleet
+/// network.
+pub const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(250);
 
 // ---- detector plumbing --------------------------------------------
 
@@ -840,10 +643,6 @@ impl HealthEngine {
         self.open.push(None);
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.detectors.is_empty()
-    }
-
     /// Evaluate every detector at simulated instant `now`.
     pub fn step(&mut self, now: SimTime, metrics: &Registry) {
         self.steps += 1;
@@ -923,18 +722,26 @@ pub struct ChannelFlap {
 }
 
 impl ChannelFlap {
-    pub fn new(
-        component: impl Into<String>,
-        switches_path: impl Into<String>,
-        rule: ChannelFlapRule,
-    ) -> ChannelFlap {
+    /// Evaluation steps (collection epochs) per rolling window.
+    const WINDOW: usize = 4;
+    /// Raise when the windowed switch count reaches this level.
+    const RAISE: f64 = 3.0;
+    /// Clear when it falls back to (or below) this level.
+    const CLEAR: f64 = 0.0;
+    /// Critical when the level reaches this.
+    const CRITICAL: f64 = 6.0;
+    /// Initial steps to ignore: the first plan of a fresh network is
+    /// *expected* to untangle the topology with a burst of switches.
+    const WARMUP_STEPS: u32 = 1;
+
+    pub fn new(component: impl Into<String>, switches_path: impl Into<String>) -> ChannelFlap {
         ChannelFlap {
             component: component.into(),
             switches_path: switches_path.into(),
             delta: Delta::default(),
-            window: RollingWindow::new(rule.window),
-            trig: Trigger::new(rule.raise, rule.clear, rule.critical),
-            warmup_left: rule.warmup_steps,
+            window: RollingWindow::new(Self::WINDOW),
+            trig: Trigger::new(Self::RAISE, Self::CLEAR, Self::CRITICAL),
+            warmup_left: Self::WARMUP_STEPS,
         }
     }
 }
@@ -975,16 +782,31 @@ pub struct AmpduCollapse {
     window: RollingWindow,
     baseline: Ewma,
     trig: Trigger,
-    min_aggregates: f64,
 }
 
 impl AmpduCollapse {
+    /// Window of per-step mean aggregate sizes the median is taken of.
+    const WINDOW: usize = 6;
+    /// EWMA smoothing for the long-run baseline aggregate size. Slow
+    /// enough that the baseline is still "the healthy past" while the
+    /// median window refills with collapsed samples; a fast baseline
+    /// would chase the collapse down and never see the ratio cross.
+    const BASELINE_ALPHA: f64 = 0.02;
+    /// Raise when baseline / windowed-median reaches this ratio.
+    const RAISE_RATIO: f64 = 1.8;
+    /// Clear when the ratio recovers to (or below) this.
+    const CLEAR_RATIO: f64 = 1.4;
+    /// Critical when the ratio reaches this.
+    const CRITICAL_RATIO: f64 = 3.0;
+    /// Steps with fewer new aggregates than this carry no signal and
+    /// are skipped (idle links must not look collapsed).
+    const MIN_AGGREGATES: f64 = 4.0;
+
     pub fn new(
         component: impl Into<String>,
         aggregates_path: impl Into<String>,
         frames_path: impl Into<String>,
         flows: Vec<u64>,
-        rule: AmpduCollapseRule,
     ) -> AmpduCollapse {
         AmpduCollapse {
             component: component.into(),
@@ -993,10 +815,9 @@ impl AmpduCollapse {
             flows,
             d_aggs: Delta::default(),
             d_frames: Delta::default(),
-            window: RollingWindow::new(rule.window),
-            baseline: Ewma::new(rule.baseline_alpha),
-            trig: Trigger::new(rule.raise_ratio, rule.clear_ratio, rule.critical_ratio),
-            min_aggregates: rule.min_aggregates,
+            window: RollingWindow::new(Self::WINDOW),
+            baseline: Ewma::new(Self::BASELINE_ALPHA),
+            trig: Trigger::new(Self::RAISE_RATIO, Self::CLEAR_RATIO, Self::CRITICAL_RATIO),
         }
     }
 }
@@ -1015,7 +836,7 @@ impl Detector for AmpduCollapse {
         let frames = probe(metrics, &self.frames_path)?;
         let da = self.d_aggs.update(aggs);
         let df = self.d_frames.update(frames);
-        if da < self.min_aggregates {
+        if da < Self::MIN_AGGREGATES {
             // Idle step: no aggregates means no signal, not collapse.
             return None;
         }
@@ -1054,7 +875,6 @@ pub struct FastAckStall {
     d_synth: Delta,
     streak: f64,
     trig: Trigger,
-    min_inflight: f64,
     /// Most recent stalled step.
     last_stalled: SimTime,
     /// Raise time of the currently open alert.
@@ -1064,12 +884,20 @@ pub struct FastAckStall {
 }
 
 impl FastAckStall {
+    /// Raise after this many consecutive steps with zero synth-ACK
+    /// emissions while segments are in flight.
+    const GAP_STEPS: f64 = 8.0;
+    /// Critical after this many.
+    const CRITICAL_STEPS: f64 = 16.0;
+    /// In-flight level (the testbed's gauge counts bytes) required for
+    /// silence to be suspicious.
+    const MIN_INFLIGHT: f64 = 4.0;
+
     pub fn new(
         component: impl Into<String>,
         synth_path: impl Into<String>,
         inflight_path: impl Into<String>,
         flows: Vec<u64>,
-        rule: FastAckStallRule,
     ) -> FastAckStall {
         FastAckStall {
             component: component.into(),
@@ -1078,8 +906,7 @@ impl FastAckStall {
             flows,
             d_synth: Delta::default(),
             streak: 0.0,
-            trig: Trigger::new(rule.gap_steps, 0.5, rule.critical_steps),
-            min_inflight: rule.min_inflight,
+            trig: Trigger::new(Self::GAP_STEPS, 0.5, Self::CRITICAL_STEPS),
             last_stalled: SimTime::ZERO,
             open_raise: None,
             stall_spans: Vec::new(),
@@ -1111,7 +938,7 @@ impl Detector for FastAckStall {
         let inflight = probe(metrics, &self.inflight_path)?;
         let d = self.d_synth.update(synth);
         // Synth counts are integral, so `< 0.5` is "no emissions".
-        if d < 0.5 && inflight >= self.min_inflight {
+        if d < 0.5 && inflight >= Self::MIN_INFLIGHT {
             self.streak += 1.0;
             self.last_stalled = now;
         } else {
@@ -1168,19 +995,27 @@ pub struct RtoStorm {
 }
 
 impl RtoStorm {
+    /// Evaluation steps per rolling window.
+    const WINDOW: usize = 8;
+    /// Raise when this many RTO firings land inside one window.
+    const RAISE: f64 = 6.0;
+    /// Clear when the window holds at most this many.
+    const CLEAR: f64 = 1.0;
+    /// Critical when the window holds this many.
+    const CRITICAL: f64 = 12.0;
+
     pub fn new(
         component: impl Into<String>,
         timeouts_path: impl Into<String>,
         flows: Vec<u64>,
-        rule: RtoStormRule,
     ) -> RtoStorm {
         RtoStorm {
             component: component.into(),
             timeouts_path: timeouts_path.into(),
             flows,
             delta: Delta::default(),
-            window: RollingWindow::new(rule.window),
-            trig: Trigger::new(rule.raise, rule.clear, rule.critical),
+            window: RollingWindow::new(Self::WINDOW),
+            trig: Trigger::new(Self::RAISE, Self::CLEAR, Self::CRITICAL),
         }
     }
 }
@@ -1220,18 +1055,23 @@ pub struct AirtimeSlo {
 }
 
 impl AirtimeSlo {
-    pub fn new(
-        component: impl Into<String>,
-        busy_path: impl Into<String>,
-        rule: AirtimeSloRule,
-    ) -> AirtimeSlo {
+    /// Evaluation steps per rolling window.
+    const WINDOW: usize = 8;
+    /// Raise when windowed mean utilization exceeds this budget.
+    const RAISE_UTIL: f64 = 0.999;
+    /// Clear when it falls back to (or below) this.
+    const CLEAR_UTIL: f64 = 0.95;
+    /// Critical when it reaches this.
+    const CRITICAL_UTIL: f64 = 0.9999;
+
+    pub fn new(component: impl Into<String>, busy_path: impl Into<String>) -> AirtimeSlo {
         AirtimeSlo {
             component: component.into(),
             busy_path: busy_path.into(),
             d_busy: Delta::default(),
             prev_step: None,
-            window: RollingWindow::new(rule.window),
-            trig: Trigger::new(rule.raise_util, rule.clear_util, rule.critical_util),
+            window: RollingWindow::new(Self::WINDOW),
+            trig: Trigger::new(Self::RAISE_UTIL, Self::CLEAR_UTIL, Self::CRITICAL_UTIL),
         }
     }
 }
@@ -1276,16 +1116,22 @@ pub struct QueueStarvation {
     d_served: Delta,
     streak: f64,
     trig: Trigger,
-    min_backlog: f64,
 }
 
 impl QueueStarvation {
+    /// Raise after this many consecutive steps with backlog but zero
+    /// service.
+    const STALL_STEPS: f64 = 8.0;
+    /// Critical after this many.
+    const CRITICAL_STEPS: f64 = 16.0;
+    /// Backlogged frames required for zero service to be suspicious.
+    const MIN_BACKLOG: f64 = 1.0;
+
     pub fn new(
         component: impl Into<String>,
         backlog_path: impl Into<String>,
         served_path: impl Into<String>,
         flows: Vec<u64>,
-        rule: QueueStarvationRule,
     ) -> QueueStarvation {
         QueueStarvation {
             component: component.into(),
@@ -1294,8 +1140,7 @@ impl QueueStarvation {
             flows,
             d_served: Delta::default(),
             streak: 0.0,
-            trig: Trigger::new(rule.stall_steps, 0.5, rule.critical_steps),
-            min_backlog: rule.min_backlog,
+            trig: Trigger::new(Self::STALL_STEPS, 0.5, Self::CRITICAL_STEPS),
         }
     }
 }
@@ -1313,7 +1158,7 @@ impl Detector for QueueStarvation {
         let backlog = probe(metrics, &self.backlog_path)?;
         let served = probe(metrics, &self.served_path)?;
         let d = self.d_served.update(served);
-        if backlog >= self.min_backlog && d < 0.5 {
+        if backlog >= Self::MIN_BACKLOG && d < 0.5 {
             self.streak += 1.0;
         } else {
             self.streak = 0.0;
@@ -1343,18 +1188,21 @@ pub struct QoeDegraded {
 }
 
 impl QoeDegraded {
-    pub fn new(
-        component: impl Into<String>,
-        clients: Vec<(String, u64)>,
-        rule: QoeDegradedRule,
-    ) -> QoeDegraded {
+    /// Raise when the worst client's penalty reaches this (score ≤ 60).
+    const RAISE_PENALTY: f64 = 40.0;
+    /// Clear when it falls back to (or below) this (score ≥ 75).
+    const CLEAR_PENALTY: f64 = 25.0;
+    /// Critical when it reaches this (score ≤ 45).
+    const CRITICAL_PENALTY: f64 = 55.0;
+
+    pub fn new(component: impl Into<String>, clients: Vec<(String, u64)>) -> QoeDegraded {
         QoeDegraded {
             component: component.into(),
             clients,
             trig: Trigger::new(
-                rule.raise_penalty,
-                rule.clear_penalty,
-                rule.critical_penalty,
+                Self::RAISE_PENALTY,
+                Self::CLEAR_PENALTY,
+                Self::CRITICAL_PENALTY,
             ),
             raise_flows: Vec::new(),
         }
@@ -1431,50 +1279,6 @@ impl Detector for QoeDegraded {
     }
 }
 
-/// Build the standard catalog for one AP scope. `flows` are the flow
-/// ids terminating at this AP; paths follow the testbed's metric
-/// naming. Hosts with different naming can construct detectors
-/// directly.
-pub fn standard_ap_detectors(
-    ap: usize,
-    flows: Vec<u64>,
-    fastack: bool,
-    rules: &HealthRules,
-) -> Vec<Box<dyn Detector>> {
-    let comp = format!("ap{ap}");
-    let mut out: Vec<Box<dyn Detector>> = Vec::new();
-    if let Some(r) = rules.ampdu_collapse {
-        out.push(Box::new(AmpduCollapse::new(
-            comp.clone(),
-            format!("mac.ap{ap}.ampdu.aggregates"),
-            format!("mac.ap{ap}.ampdu.frames"),
-            flows.clone(),
-            r,
-        )));
-    }
-    if fastack {
-        if let Some(r) = rules.fastack_stall {
-            out.push(Box::new(FastAckStall::new(
-                comp.clone(),
-                format!("health.ap{ap}.fast_acks"),
-                format!("health.ap{ap}.inflight"),
-                flows.clone(),
-                r,
-            )));
-        }
-    }
-    if let Some(r) = rules.queue_starvation {
-        out.push(Box::new(QueueStarvation::new(
-            comp,
-            format!("health.ap{ap}.backlog"),
-            format!("mac.ap{ap}.ampdu.aggregates"),
-            flows,
-            r,
-        )));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1505,41 +1309,37 @@ mod tests {
         let mut m = Registry::new();
         let c = m.counter("tcp.timeouts");
         let mut eng = HealthEngine::new();
-        eng.add(Box::new(RtoStorm::new(
-            "tcp",
-            "tcp.timeouts",
-            vec![],
-            RtoStormRule {
-                window: 4,
-                raise: 3.0,
-                clear: 0.0,
-                critical: 8.0,
-            },
-        )));
-        // Quiet warmup.
-        for s in 0..4 {
+        eng.add(Box::new(RtoStorm::new("tcp", "tcp.timeouts", vec![])));
+        let w = RtoStorm::WINDOW as u64;
+        // Quiet warmup fills the window.
+        for s in 0..w {
             eng.step(t(s), &m);
         }
-        // 4 timeouts in one epoch: raise (warning).
-        m.add(c, 4);
-        eng.step(t(4), &m);
-        // 6 more: the open alert upgrades to critical.
-        m.add(c, 6);
-        eng.step(t(5), &m);
-        // Quiet epochs flush the window back to zero: clear.
-        for s in 6..10 {
+        // RAISE timeouts in one epoch: raise (warning, below CRITICAL).
+        m.add(c, RtoStorm::RAISE as u64);
+        eng.step(t(w), &m);
+        // Enough more to reach CRITICAL: the open alert upgrades.
+        m.add(c, (RtoStorm::CRITICAL - RtoStorm::RAISE) as u64);
+        eng.step(t(w + 1), &m);
+        // Quiet epochs slide both bursts out of the window: clear.
+        for s in w + 2..3 * w {
             eng.step(t(s), &m);
         }
         let report = eng.finish(&FlightDump::default());
-        assert_eq!(report.steps, 10);
+        assert_eq!(report.steps, 3 * w);
         assert_eq!(report.alerts.len(), 1);
         let a = &report.alerts[0];
         assert_eq!(a.rule, RULE_RTO_STORM);
         assert_eq!(a.component, "tcp");
         assert_eq!(a.severity, Severity::Critical, "upgraded while open");
-        assert_eq!(a.raised_at, t(4));
-        assert_eq!(a.cleared_at, Some(t(9)));
-        assert!(a.value >= 10.0, "peak level recorded: {}", a.value);
+        assert_eq!(a.raised_at, t(w));
+        assert_eq!(a.threshold, RtoStorm::RAISE);
+        assert_eq!(a.cleared_at, Some(t(2 * w + 1)));
+        assert!(
+            a.value >= RtoStorm::CRITICAL,
+            "peak level recorded: {}",
+            a.value
+        );
         assert!(a.cause.is_none(), "no flight records to link");
     }
 
@@ -1547,17 +1347,7 @@ mod tests {
     fn channel_flap_ignores_warmup_then_fires_on_churn() {
         let mut m = Registry::new();
         let c = m.counter("sched.switches");
-        let mut flap = ChannelFlap::new(
-            "sched",
-            "sched.switches",
-            ChannelFlapRule {
-                window: 4,
-                raise: 3.0,
-                clear: 0.0,
-                critical: 6.0,
-                warmup_steps: 1,
-            },
-        );
+        let mut flap = ChannelFlap::new("sched", "sched.switches");
         // Initial convergence burst lands in the warmup step.
         m.add(c, 8);
         assert_eq!(flap.step(t(0), &m), None);
@@ -1599,7 +1389,6 @@ mod tests {
             "mac.ap0.ampdu.aggregates",
             "mac.ap0.ampdu.frames",
             vec![7],
-            AmpduCollapseRule::default(),
         );
         let feed = |m: &mut Registry, n_aggs: u64, mean: u64| {
             m.add(aggs, n_aggs);
@@ -1634,7 +1423,7 @@ mod tests {
         let mut m = Registry::new();
         let aggs = m.counter("a");
         let frames = m.counter("f");
-        let mut det = AmpduCollapse::new("ap0", "a", "f", vec![], AmpduCollapseRule::default());
+        let mut det = AmpduCollapse::new("ap0", "a", "f", vec![]);
         for s in 0..20 {
             m.add(aggs, 10);
             m.add(frames, 400);
@@ -1656,11 +1445,6 @@ mod tests {
 
     #[test]
     fn fastack_stall_raises_and_links_last_emission() {
-        let rule = FastAckStallRule {
-            gap_steps: 4.0,
-            critical_steps: 16.0,
-            min_inflight: 4.0,
-        };
         let rec = FlightRecorder::new(64);
         // Healthy epochs emit synthetic ACKs (flight side).
         for s in 0..3 {
@@ -1683,15 +1467,14 @@ mod tests {
                 "health.ap0.fast_acks",
                 "health.ap0.inflight",
                 vec![3],
-                rule,
             )));
-            for s in 0..9 {
+            // From step 3 on: silence with 30 segments in flight — a
+            // stall after GAP_STEPS quiet epochs, still open at finish.
+            for s in 0..3 + FastAckStall::GAP_STEPS as u64 + 2 {
                 if s < 3 {
                     // Metrics side of the healthy emissions.
                     m.gauge_add(synth, 5);
                 }
-                // From step 3 on: silence with 30 segments in flight —
-                // a stall after gap_steps quiet epochs.
                 eng.step(t(s), &m);
             }
             eng.finish(&rec.snapshot())
@@ -1700,6 +1483,7 @@ mod tests {
         assert_eq!(report.alerts.len(), 1);
         let a = &report.alerts[0];
         assert_eq!(a.rule, RULE_FASTACK_STALL);
+        assert_eq!(a.raised_at, t(2 + FastAckStall::GAP_STEPS as u64));
         assert!(a.cleared_at.is_none(), "still stalled at finish");
         assert_eq!(
             a.cause,
@@ -1721,21 +1505,18 @@ mod tests {
             "health.ap0.fast_acks",
             "health.ap0.inflight",
             vec![3],
-            FastAckStallRule {
-                gap_steps: 4.0,
-                critical_steps: 16.0,
-                min_inflight: 4.0,
-            },
         )));
-        // The gauge never moves (metrics claim a stall) but the flight
-        // ring shows a synthetic emission inside the gap: the
-        // cross-check must drop the alert.
-        for s in 0..9 {
+        // The gauge never moves (metrics claim a stall from step 0, so
+        // it raises at step GAP_STEPS - 1) but the flight ring shows a
+        // synthetic emission inside the gap: the cross-check must drop
+        // the alert.
+        let raised = FastAckStall::GAP_STEPS as u64 - 1;
+        for s in 0..raised + 5 {
             eng.step(t(s), &m);
         }
         rec.emit(
             "fastack.synth",
-            t(5),
+            t(raised + 2),
             cause_for(3, 2000),
             TraceRecord::FastAckSynth {
                 flow: 3,
@@ -1744,6 +1525,7 @@ mod tests {
             },
         );
         let report = eng.finish(&rec.snapshot());
+        assert_eq!(report.steps, raised + 5);
         assert!(
             report.alerts.is_empty(),
             "flight record inside the gap refutes the stall: {:?}",
@@ -1756,17 +1538,11 @@ mod tests {
         let mut m = Registry::new();
         let backlog = m.gauge("health.ap0.backlog");
         let served = m.counter("mac.ap0.ampdu.aggregates");
-        let rule = QueueStarvationRule {
-            stall_steps: 3.0,
-            critical_steps: 6.0,
-            min_backlog: 1.0,
-        };
         let mut det = QueueStarvation::new(
             "ap0",
             "health.ap0.backlog",
             "mac.ap0.ampdu.aggregates",
             vec![],
-            rule,
         );
         // Empty queue + silence: fine.
         for s in 0..5 {
@@ -1778,43 +1554,41 @@ mod tests {
             m.add(served, 2);
             assert_eq!(det.step(t(s), &m), None);
         }
-        // Backlog and zero service: raises on the 3rd silent epoch.
-        assert_eq!(det.step(t(10), &m), None);
-        assert_eq!(det.step(t(11), &m), None);
+        // Backlog and zero service: raises on the STALL_STEPS-th silent
+        // epoch.
+        let raise_at = 10 + QueueStarvation::STALL_STEPS as u64 - 1;
+        for s in 10..raise_at {
+            assert_eq!(det.step(t(s), &m), None);
+        }
         assert!(matches!(
-            det.step(t(12), &m),
-            Some(Transition::Raise { .. })
+            det.step(t(raise_at), &m),
+            Some(Transition::Raise {
+                severity: Severity::Warning,
+                ..
+            })
         ));
         // Service resumes: streak collapses, alert clears.
         m.add(served, 1);
-        assert_eq!(det.step(t(13), &m), Some(Transition::Clear));
+        assert_eq!(det.step(t(raise_at + 1), &m), Some(Transition::Clear));
     }
 
     #[test]
     fn airtime_slo_raises_when_budget_exceeded() {
         let mut m = Registry::new();
         let busy = m.gauge("health.air.busy_ns");
-        let mut det = AirtimeSlo::new(
-            "air",
-            "health.air.busy_ns",
-            AirtimeSloRule {
-                window: 4,
-                raise_util: 0.9,
-                clear_util: 0.5,
-                critical_util: 0.99,
-            },
-        );
+        let mut det = AirtimeSlo::new("air", "health.air.busy_ns");
         let step_ns = 250_000_000i64;
-        // 70% busy: under budget.
-        for s in 0..8 {
-            m.gauge_add(busy, step_ns * 7 / 10);
+        let w = AirtimeSlo::WINDOW as u64;
+        // 90% busy: under budget.
+        for s in 0..2 * w {
+            m.gauge_add(busy, step_ns * 9 / 10);
             assert_eq!(det.step(t(s), &m), None);
         }
-        // Pinned at 98% busy: crosses the 0.9 budget once the window
-        // fills with hot epochs.
+        // Pinned at 100% busy: crosses the RAISE_UTIL budget once the
+        // window fills with hot epochs.
         let mut raised = false;
-        for s in 8..16 {
-            m.gauge_add(busy, step_ns * 98 / 100);
+        for s in 2 * w..4 * w {
+            m.gauge_add(busy, step_ns);
             if matches!(det.step(t(s), &m), Some(Transition::Raise { .. })) {
                 raised = true;
             }
@@ -1985,7 +1759,6 @@ mod tests {
                     ("qoe.client0.score".to_string(), 0x4000),
                     ("qoe.client1.score".to_string(), 0x4001),
                 ],
-                QoeDegradedRule::default(),
             )));
             for s in 0..12 {
                 m.gauge_set(g0, 95);
@@ -2020,11 +1793,7 @@ mod tests {
     #[test]
     fn qoe_degraded_is_silent_without_score_gauges() {
         let m = Registry::new();
-        let mut det = QoeDegraded::new(
-            "ap0",
-            vec![("qoe.client0.score".to_string(), 0x4000)],
-            QoeDegradedRule::default(),
-        );
+        let mut det = QoeDegraded::new("ap0", vec![("qoe.client0.score".to_string(), 0x4000)]);
         for s in 0..20 {
             assert_eq!(det.step(t(s), &m), None, "unregistered gauge raised");
         }
@@ -2052,7 +1821,6 @@ mod tests {
         eng.add(Box::new(QoeDegraded::new(
             "ap0",
             vec![("qoe.client0.score".to_string(), 0x4000)],
-            QoeDegradedRule::default(),
         )));
         m.gauge_set(g, 20);
         for s in 0..4 {

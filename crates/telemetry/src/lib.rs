@@ -34,6 +34,7 @@ pub mod health;
 pub mod json;
 pub mod littletable;
 pub mod metrics;
+mod reader;
 pub mod runprof;
 pub mod stats;
 pub mod streaming;
@@ -44,12 +45,11 @@ pub use flight::{
     TraceRecord,
 };
 pub use health::{
-    Alert, Detector, HealthEngine, HealthReport, HealthRollup, HealthRules, QoeDegraded,
-    QoeDegradedRule, Severity,
+    Alert, Detector, HealthEngine, HealthReport, HealthRollup, QoeDegraded, Severity,
 };
 pub use littletable::{Agg, LittleTable, SeriesKey};
 pub use metrics::{CounterId, GaugeId, HistId, Registry, Span, SpanId, SpanStat};
 pub use runprof::{AllocStats, CountingAlloc, RunProfile, SamplePoint, StageStat, WallSpan};
 pub use stats::{jain_fairness, median, quantile, summarize, Cdf, Histogram, Summary};
-pub use streaming::{Ewma, P2Quantile, RateCounter, RollingWindow};
+pub use streaming::{Ewma, RollingWindow};
 pub use timeline::{SeriesKind, TierConfig, Timeline, TimelineConfig};

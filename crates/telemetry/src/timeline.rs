@@ -57,6 +57,7 @@
 
 use crate::littletable::Agg;
 use crate::metrics::Registry;
+use crate::reader::Reader;
 use crate::streaming::RollingWindow;
 use sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -641,7 +642,7 @@ impl Timeline {
 
     /// The last `n` values of a series as a detector-style
     /// [`RollingWindow`] — when the timeline cadence matches
-    /// `HealthRules::sample_every`, this is the window the health
+    /// [`crate::health::SAMPLE_EVERY`], this is the window the health
     /// detectors consumed (modulo run-loop phase; see DESIGN.md §6).
     pub fn window(&self, name: &str, n: usize) -> RollingWindow {
         let mut w = RollingWindow::new(n);
@@ -814,7 +815,7 @@ impl Timeline {
     /// mismatch, or trailing garbage is an error. The parsed timeline
     /// is frozen (query/serialize only).
     pub fn parse(bytes: &[u8]) -> Result<Timeline, String> {
-        let mut r = Reader { bytes, off: 0 };
+        let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
         if magic != MAGIC {
             return Err(format!("bad magic {magic:02x?}, want {MAGIC:02x?}"));
@@ -853,7 +854,7 @@ impl Timeline {
             prev_name = name.clone();
             series.insert(name, Series { kind, start, vals });
         }
-        let n_tiers = r.u32()? as usize;
+        let n_tiers = r.count()?;
         let mut tiers = Vec::with_capacity(n_tiers);
         for _ in 0..n_tiers {
             let bucket_ns = r.u64()?;
@@ -1039,7 +1040,7 @@ fn take_series(r: &mut Reader<'_>) -> Result<(String, SeriesKind, u64, VecDeque<
         .map_err(|e| format!("series name not UTF-8: {e}"))?;
     let kind = SeriesKind::from_tag(r.u8()?)?;
     let start = r.u64()?;
-    let count = r.u32()? as usize;
+    let count = r.count()?;
     let payload_len = r.u32()? as usize;
     let end = r
         .off
@@ -1069,62 +1070,6 @@ fn take_series(r: &mut Reader<'_>) -> Result<(String, SeriesKind, u64, VecDeque<
         ));
     }
     Ok((name, kind, start, vals))
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .off
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("truncated dump at offset {}", self.off))?;
-        let s = &self.bytes[self.off..end];
-        self.off = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 || (shift == 63 && b > 1) {
-                return Err(format!("varint overflow at offset {}", self.off));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1219,6 +1164,26 @@ mod tests {
         bad[0] = b'X';
         assert!(Timeline::parse(&bad).unwrap_err().contains("bad magic"));
         assert!(Timeline::parse(b"TSL1").unwrap_err().contains("truncated"));
+    }
+
+    /// A corrupt value count is an `Err`, not a capacity request the
+    /// allocator aborts the process on.
+    #[test]
+    fn parse_rejects_a_value_count_beyond_the_dump() {
+        let mut tl = build(4);
+        tl.seal();
+        let mut bytes = tl.to_bytes();
+        // The first series is `mac.frames`; its u32 value count follows
+        // the name, the kind tag and the u64 start index.
+        let name = b"mac.frames";
+        let pos = bytes
+            .windows(name.len())
+            .position(|w| w == name)
+            .expect("first series name");
+        let off = pos + name.len() + 1 + 8;
+        assert_eq!(bytes[off..off + 4], 4u32.to_le_bytes());
+        bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Timeline::parse(&bytes).unwrap_err().contains("exceeds"));
     }
 
     #[test]

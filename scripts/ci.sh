@@ -44,6 +44,22 @@ echo "=== cargo test (sim-sanitizer forced on) ==="
 # proves the `sanitize` feature wiring itself stays sound.
 cargo test --workspace --features sanitize -q
 
+echo "=== perfbench (its own workspace: self-tests and pinned digests) ==="
+# perfbench is a separate cargo workspace, so `cargo test --workspace`
+# never compiles it: a change to a public config or report field could
+# break the benchmark unseen. Build and self-test it, then run each
+# workload briefly; every operation's output is checked against its
+# pinned digest, so zero failed operations means the digests still match.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+for w in testbed_fastack testbed_observed fleet_steady; do
+  result="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 5 --trace 0 | tail -n 1)"
+  echo "$result" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["attempted"] > 0 and r["failed"] == 0 else 1)' \
+    || { echo "perfbench $w: failed operations or no result: $result"; exit 1; }
+done
+
 echo "=== metrics snapshot reproducibility ==="
 # Two invocations of the same bench binary must emit byte-identical
 # --metrics snapshots (see DESIGN.md "Observability"): the registry is
