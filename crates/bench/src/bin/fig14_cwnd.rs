@@ -12,7 +12,7 @@ fn run(fastack: bool) -> TestbedReport {
         seed: 1414,
         // The cwnd curves come off the timeline sampler (always on for
         // this figure: the CSV series need it regardless of argv; the
-        // `--timeline` flag only controls whether the TSL1 store is
+        // `--timeline` flag only controls whether the TSL2 store is
         // dumped), one point per flow every 250 ms.
         timeline: Some(TimelineConfig::sampling(SimDuration::from_millis(250))),
         ..TestbedConfig::default()

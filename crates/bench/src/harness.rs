@@ -42,7 +42,7 @@ pub struct Experiment {
     /// one is *not* deterministic — it records host wall-clock speed.
     pub perf_samples: Vec<runprof::SamplePoint>,
     /// Merged timeline stores from every run the experiment absorbed
-    /// (see [`Experiment::absorb_timeline`]). Dumped in the `TSL1`
+    /// (see [`Experiment::absorb_timeline`]). Dumped in the `TSL2`
     /// binary format when the binary is invoked with
     /// `--timeline <path>`; inspect with `simctl time`.
     pub timeline: Timeline,
@@ -228,7 +228,7 @@ impl Experiment {
         // metrics registry snapshot. `--trace <path>` (with an optional
         // `--trace-filter <component-prefix>`): write the merged flight
         // dump. `--health <path>`: write the merged health report as
-        // canonical JSON. `--timeline <path>`: the merged TSL1 dump.
+        // canonical JSON. `--timeline <path>`: the merged TSL2 dump.
         // All four are deterministic by construction, so two
         // invocations of the same binary must produce identical files —
         // scripts/ci.sh enforces exactly that. `--perf <path>` is the

@@ -622,12 +622,6 @@ impl Agent {
         );
     }
 
-    /// Drop a completed flow's state.
-    pub fn remove_flow(&mut self, flow: FlowId) {
-        self.flows.remove(&flow);
-        self.classifier.forget(flow);
-    }
-
     /// Deep copy including per-flow state — benchmark/testing helper.
     pub fn clone_for_bench(&self) -> Agent {
         self.clone()

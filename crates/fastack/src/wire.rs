@@ -99,11 +99,6 @@ impl WireAgent {
         );
     }
 
-    /// Known flows currently anchored.
-    pub fn anchored_flows(&self) -> usize {
-        self.anchors.len()
-    }
-
     /// Inspect a downlink data packet.
     pub fn on_wire_data(&mut self, p: &WireData) -> Result<Vec<WireAction>, InspectError> {
         if p.encrypted {
@@ -170,11 +165,6 @@ impl WireAgent {
             .into_iter()
             .map(|a| Self::wrap_ack_only(a, isn))
             .collect())
-    }
-
-    /// Access to the inner agent (stats, roaming, repair).
-    pub fn agent_mut(&mut self) -> &mut Agent {
-        &mut self.agent
     }
 
     fn rewrap(isn: WireSeq, seq_off: u64) -> WireSeq {

@@ -7,7 +7,7 @@
 use crate::report::NetworkReport;
 use sim::SimTime;
 use telemetry::littletable::{LittleTable, SeriesKey};
-use telemetry::stats::{jain_fairness, median, Cdf};
+use telemetry::stats::{jain_fairness, Cdf};
 
 /// Metric names used in the store.
 pub const UTIL_2_4: &str = "util_2_4ghz";
@@ -136,12 +136,6 @@ impl FleetAggregate {
             self.util_5.quantile(0.5).unwrap_or(0.0),
         )
     }
-}
-
-/// Median across a sample, defaulting to 0 for empty input (aggregation
-/// over an empty fleet).
-pub fn median_or_zero(xs: &[f64]) -> f64 {
-    median(xs).unwrap_or(0.0)
 }
 
 #[cfg(test)]

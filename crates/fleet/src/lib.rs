@@ -139,7 +139,7 @@ pub struct FleetRun {
     /// and alert counts by rule. `qoe.to_json()` is byte-identical for
     /// any thread count.
     pub qoe: qoe::QoeRollup,
-    /// Sealed per-epoch fleet timeline (`Some` iff
+    /// Per-epoch fleet timeline (`Some` iff
     /// [`FleetConfig::timeline`]): one tick per epoch barrier at
     /// `collect_period` cadence, series delta-encoded between epochs.
     /// `timeline.to_bytes()` is bit-identical for any thread count.
@@ -278,10 +278,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
         jain_goodput: aggregate.jain_goodput.unwrap_or(0.0),
         checksum: checksum.finish(),
     };
-
-    if let Some(tl) = timeline.as_mut() {
-        tl.seal();
-    }
 
     FleetRun {
         report,

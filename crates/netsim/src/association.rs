@@ -51,15 +51,6 @@ impl AssociationOutcome {
             .copied()
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Mean expected throughput.
-    pub fn mean_bps(&self) -> f64 {
-        if self.expected_bps.is_empty() {
-            0.0
-        } else {
-            self.expected_bps.iter().sum::<f64>() / self.expected_bps.len() as f64
-        }
-    }
 }
 
 /// Associate `clients` (positions) to the APs of `topo` under `policy`,

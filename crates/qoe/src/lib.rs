@@ -290,11 +290,6 @@ impl ClientQoe {
         }
     }
 
-    /// Probes currently in flight (sent, no terminal outcome yet).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Summarize window span `w` (index into [`WINDOW_SECS`]).
     pub fn summary(&self, w: usize) -> QoeSummary {
         let s = &self.spans[w];

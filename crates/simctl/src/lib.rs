@@ -6,7 +6,7 @@
 //! * `simctl trace …` — causal flight-recorder dumps ([`trace`]);
 //! * `simctl health …` — health snapshots and fleet rollups ([`health`]);
 //! * `simctl perf …` — run profiles and the perf-baseline gate ([`perf`]);
-//! * `simctl time …` — TSL1 timeline dumps ([`time`]).
+//! * `simctl time …` — TSL2 timeline dumps ([`time`]).
 //!
 //! The groups share one argument parser ([`Args`]), one file loader
 //! ([`load`]), one usage text ([`usage`]) and one exit-code contract:

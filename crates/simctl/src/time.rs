@@ -1,14 +1,15 @@
-//! `simctl time` — inspect deterministic TSL1 timeline dumps.
+//! `simctl time` — inspect deterministic TSL2 timeline dumps.
 //!
 //! The timeline sampler (`telemetry::timeline`) serializes each run's
 //! periodic counter/gauge/f64 snapshots to a delta-encoded binary dump.
 //! The renderers here read parsed [`Timeline`]s:
 //!
-//! * `summary <dump>` — cadence, tick retention/eviction, time range,
-//!   per-series table, and the downsampled tiers;
+//! * `summary <dump>` — cadence, tick retention/eviction, time range
+//!   and per-series table;
 //! * `query <dump> <series> [--from <ms>] [--to <ms>] [--bucket <ms>]
 //!   [--agg <mean|max|min|sum|count|last>]` — one `seconds value` line
-//!   per sample (or per bucket with `--bucket`), printed with
+//!   per sample (or per bucket with `--bucket`, downsampled at query
+//!   time by `telemetry::littletable::downsample`), printed with
 //!   shortest-roundtrip floats so the fig14 cwnd curve comes back
 //!   token-identical to what the bench harness dumped;
 //! * `plot <dump> <series> [--from/--to/--width]` — ASCII sparkline,
@@ -22,7 +23,7 @@
 use crate::{load, verdict, Args, Outcome};
 use sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
-use telemetry::timeline::{agg_from_name, agg_label, Timeline};
+use telemetry::timeline::{agg_from_name, Timeline};
 use telemetry::Agg;
 
 /// Half-open query window, defaulting to everything.
@@ -47,7 +48,7 @@ fn secs(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e9
 }
 
-/// Cadence, retention, time range, series table, tiers.
+/// Cadence, retention, time range, series table.
 pub fn summary(tl: &Timeline) -> String {
     let mut out = String::new();
     if tl.is_empty() {
@@ -56,7 +57,7 @@ pub fn summary(tl: &Timeline) -> String {
     }
     let _ = writeln!(
         out,
-        "TSL1 timeline: every {}, {} ticks retained, {} evicted",
+        "TSL2 timeline: every {}, {} ticks retained, {} evicted",
         tl.every(),
         tl.ticks(),
         tl.dropped()
@@ -85,22 +86,12 @@ pub fn summary(tl: &Timeline) -> String {
             last
         );
     }
-    for t in tl.tiers() {
-        let _ = writeln!(
-            out,
-            "tier bucket {} {}: {} rows retained, {} evicted",
-            t.bucket(),
-            agg_label(t.agg()),
-            t.rows(),
-            t.dropped_rows()
-        );
-    }
     out
 }
 
 /// One `seconds value` line per sample in the window; with `bucket`,
-/// one line per non-empty bucket downsampled via `agg` (littletable
-/// fold order). Unknown series is an error, not empty output.
+/// one line per non-empty bucket downsampled via `agg`. Unknown series
+/// and a zero bucket are errors, not empty output or a panic.
 pub fn query(
     tl: &Timeline,
     series: &str,
@@ -114,6 +105,7 @@ pub fn query(
         ));
     }
     let pts = match bucket {
+        Some(b) if b == SimDuration::ZERO => return Err("--bucket must be > 0 ms".to_owned()),
         Some(b) => tl.downsample(series, w.from, w.to, b, agg),
         None => tl.range(series, w.from, w.to),
     };
@@ -242,33 +234,6 @@ pub fn diff(a: &Timeline, b: &Timeline) -> (String, bool) {
             return (out, false);
         }
     }
-    // Same tick columns; the byte difference must be in the tiers.
-    for (i, (ta, tb)) in a.tiers().zip(b.tiers()).enumerate() {
-        for n in na.iter().filter(|n| nb.contains(n)) {
-            let (ra, rb) = (ta.series(n), tb.series(n));
-            if let Some((sa, sb)) = ra
-                .iter()
-                .zip(rb.iter())
-                .find(|(x, y)| x.0 != y.0 || x.1.to_bits() != y.1.to_bits())
-            {
-                let _ = writeln!(
-                    out,
-                    "tier {i} series {n}: first divergence at {}: {} vs {}",
-                    sa.0, sa.1, sb.1
-                );
-                return (out, false);
-            }
-            if ra.len() != rb.len() {
-                let _ = writeln!(
-                    out,
-                    "tier {i} series {n}: {} vs {} rows",
-                    ra.len(),
-                    rb.len()
-                );
-                return (out, false);
-            }
-        }
-    }
     (out, false)
 }
 
@@ -286,9 +251,16 @@ fn load_timeline(path: &str) -> Result<Timeline, String> {
     load(path, Timeline::parse)
 }
 
-/// `--<flag> <ms>` as an offset from t=0.
+/// `--<flag> <ms>` as an offset from t=0; milliseconds whose
+/// nanoseconds overflow `u64` are an error, never a wrapped instant.
 fn ms(a: &Args, flag: &str) -> Result<Option<SimDuration>, String> {
-    Ok(a.parsed::<u64>(flag)?.map(SimDuration::from_millis))
+    a.parsed::<u64>(flag)?
+        .map(|v| {
+            v.checked_mul(1_000_000)
+                .map(SimDuration::from_nanos)
+                .ok_or_else(|| format!("bad --{flag} value {v}: overflows u64 nanoseconds"))
+        })
+        .transpose()
 }
 
 /// The `--from`/`--to` window.
@@ -372,22 +344,21 @@ mod tests {
             tl.set_f64("tcp.flow0.cwnd_segments", 10.0 + i as f64 * 2.5);
             tl.sample(SimTime::from_millis(i * 100), &reg);
         }
-        tl.seal();
         tl
     }
 
     #[test]
-    fn summary_lists_series_and_tiers() {
+    fn summary_lists_series() {
         let s = summary(&sample());
-        assert!(s.contains("40 ticks retained, 0 evicted"), "{s}");
+        assert!(
+            s.starts_with("TSL2 timeline: every 100.000ms, 40 ticks retained, 0 evicted\n"),
+            "{s}"
+        );
         assert!(s.contains("3 series:"), "{s}");
         assert!(s.contains("tcp.segments"), "{s}");
         assert!(s.contains("counter"), "{s}");
         assert!(s.contains("mac.queue_depth"), "{s}");
         assert!(s.contains("tcp.flow0.cwnd_segments"), "{s}");
-        // TimelineConfig::sampling adds a 10x mean and a 100x max tier.
-        assert!(s.contains("tier bucket 1.000s mean:"), "{s}");
-        assert!(s.contains("tier bucket 10.000s max:"), "{s}");
         assert!(summary(&Timeline::default()).contains("empty timeline"));
     }
 
@@ -482,7 +453,6 @@ mod tests {
             tl.set_f64("tcp.flow0.cwnd_segments", 10.0 + i as f64 * 2.5);
             tl.sample(SimTime::from_millis(i * 100), &reg);
         }
-        tl.seal();
         let (out, same) = diff(&a, &tl);
         assert!(!same);
         assert!(out.contains("dumps DIFFER"), "{out}");
@@ -551,7 +521,6 @@ mod tests {
         let mut reg = Registry::new();
         reg.count("tcp.segments", 1);
         tl.sample(SimTime::ZERO, &reg);
-        tl.seal();
         std::fs::write(&p2, tl.to_bytes()).unwrap();
         let (out, code) = run(&[own("diff"), path, p2.to_string_lossy().to_string()]).unwrap();
         assert_eq!(code, 1);
@@ -559,5 +528,34 @@ mod tests {
 
         // Unreadable / unparsable files are errors, not panics.
         assert!(run(&[own("summary"), own("/nonexistent.bin")]).is_err());
+    }
+
+    #[test]
+    fn zero_bucket_and_overflowing_millis_are_usage_errors() {
+        let dir = std::env::temp_dir().join("simctl-time-flags-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("dump.bin");
+        std::fs::write(&p, sample().to_bytes()).unwrap();
+        let query = |flags: &[&str]| {
+            let mut args = vec![
+                "query".to_owned(),
+                p.to_string_lossy().to_string(),
+                "tcp.segments".to_owned(),
+            ];
+            args.extend(flags.iter().map(|f| (*f).to_owned()));
+            run(&args)
+        };
+        let err = query(&["--bucket", "0"]).unwrap_err();
+        assert!(err.contains("--bucket must be > 0"), "{err}");
+        // u64::MAX ns is 18446744073709.551615 ms.
+        for flag in ["--bucket", "--from", "--to"] {
+            let err = query(&[flag, "18446744073710"]).unwrap_err();
+            assert!(err.contains("overflows u64 nanoseconds"), "{err}");
+        }
+        // The largest bucket that fits holds every sample from --from
+        // on (mean of 33, 36, ..., 120), at --from, never wrapped.
+        let (out, code) = query(&["--from", "1000", "--bucket", "18446744073709"]).unwrap();
+        assert_eq!(code, 0);
+        assert_eq!(out, "1 76.5\n");
     }
 }

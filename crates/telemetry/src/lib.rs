@@ -16,8 +16,9 @@
 //! allocations, RSS, structure watermarks) without touching any
 //! trajectory, and a deterministic time-series sampler ([`timeline`])
 //! that snapshots registry counters/gauges every fixed sim-time
-//! interval into delta-encoded per-series columns with bounded ring
-//! retention and `TSL1` binary dumps (`simctl time` reads those), and
+//! interval into delta-encoded per-series columns with bounded raw
+//! ring retention and `TSL2` binary dumps (`simctl time` reads those
+//! and downsamples at query time with [`littletable::downsample`]), and
 //! the one JSON codec ([`json`]) every artifact writer and reader
 //! shares.
 //!
@@ -52,4 +53,4 @@ pub use metrics::{CounterId, GaugeId, HistId, Registry, Span, SpanId, SpanStat};
 pub use runprof::{AllocStats, CountingAlloc, RunProfile, SamplePoint, StageStat, WallSpan};
 pub use stats::{jain_fairness, median, quantile, summarize, Cdf, Histogram, Summary};
 pub use streaming::{Ewma, RollingWindow};
-pub use timeline::{SeriesKind, TierConfig, Timeline, TimelineConfig};
+pub use timeline::{SeriesKind, Timeline, TimelineConfig};

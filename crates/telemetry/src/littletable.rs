@@ -80,7 +80,7 @@ impl LittleTable {
     }
 
     /// Downsample a series into fixed-width buckets with the given
-    /// aggregation. Buckets with no samples are omitted.
+    /// aggregation ([`downsample`] over its samples in `[from, to)`).
     pub fn downsample(
         &self,
         key: &SeriesKey,
@@ -89,33 +89,47 @@ impl LittleTable {
         bucket: SimDuration,
         agg: Agg,
     ) -> Vec<(SimTime, f64)> {
-        assert!(bucket > SimDuration::ZERO);
-        let samples = self.range(key, from, to);
-        let mut out: Vec<(SimTime, f64)> = Vec::new();
-        let mut i = 0;
-        let mut bucket_start = from;
-        while bucket_start < to && i < samples.len() {
-            let bucket_end = (bucket_start + bucket).min(to);
-            let mut vals = Vec::new();
-            while i < samples.len() && samples[i].0 < bucket_end {
-                vals.push(samples[i].1);
-                i += 1;
-            }
-            if !vals.is_empty() {
-                let v = match agg {
-                    Agg::Mean => vals.iter().sum::<f64>() / vals.len() as f64,
-                    Agg::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    Agg::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
-                    Agg::Sum => vals.iter().sum(),
-                    Agg::Count => vals.len() as f64,
-                    Agg::Last => *vals.last().expect("non-empty"),
-                };
-                out.push((bucket_start, v));
-            }
-            bucket_start = bucket_end;
-        }
-        out
+        downsample(&self.range(key, from, to), from, to, bucket, agg)
     }
+}
+
+/// The one bucket fold: aggregate time-sorted `samples` over
+/// `[from, to)` into `bucket`-wide buckets on a grid anchored at
+/// `from`, one `(bucket start, value)` per non-empty bucket. Values
+/// fold left to right from `0.0` (sum, mean) or `±∞` (min, max), so
+/// every caller gets the same bits for the same samples.
+pub fn downsample(
+    samples: &[(SimTime, f64)],
+    from: SimTime,
+    to: SimTime,
+    bucket: SimDuration,
+    agg: Agg,
+) -> Vec<(SimTime, f64)> {
+    assert!(bucket > SimDuration::ZERO, "downsample bucket must be > 0");
+    let mut out = Vec::new();
+    let mut i = samples.partition_point(|&(t, _)| t < from);
+    while i < samples.len() && samples[i].0 < to {
+        // Jump to the bucket holding sample `i`: empty buckets are
+        // omitted, so a sparse series costs nothing per empty bucket.
+        let k = (samples[i].0 - from).as_nanos() / bucket.as_nanos();
+        let start = from + bucket * k;
+        let end = start.checked_add(bucket).map_or(to, |e| e.min(to));
+        let first = i;
+        while i < samples.len() && samples[i].0 < end {
+            i += 1;
+        }
+        let mut vals = samples[first..i].iter().map(|&(_, v)| v);
+        let v = match agg {
+            Agg::Mean => vals.fold(0.0, |a, v| a + v) / (i - first) as f64,
+            Agg::Max => vals.fold(f64::NEG_INFINITY, f64::max),
+            Agg::Min => vals.fold(f64::INFINITY, f64::min),
+            Agg::Sum => vals.fold(0.0, |a, v| a + v),
+            Agg::Count => (i - first) as f64,
+            Agg::Last => vals.next_back().expect("non-empty bucket"),
+        };
+        out.push((start, v));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Strict little-endian byte reader shared by the binary dump parsers
-//! (`FLT1` flight dumps, `TSL1` timelines). Every read is bounds-checked
+//! (`FLT1` flight dumps, `TSL2` timelines). Every read is bounds-checked
 //! and returns `Err` on truncation; nothing here panics or allocates on
 //! the strength of an untrusted length.
 
@@ -61,7 +61,7 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// LEB128 unsigned varint (the `TSL1` value encoding).
+    /// LEB128 unsigned varint (the `TSL2` value encoding).
     pub(crate) fn varint(&mut self) -> Result<u64, String> {
         let mut v: u64 = 0;
         let mut shift = 0u32;

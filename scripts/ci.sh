@@ -183,7 +183,7 @@ target/release/simctl perf summary "$metrics_dir/runprof-1.json" > /dev/null \
 echo "=== timeline dump reproducibility and neutrality ==="
 # Same property for the time-series sampler (see DESIGN.md §6,
 # "Timeline"): two identical runs must serialize byte-identical
-# --timeline TSL1 dumps, simctl time must read them back, and — the
+# --timeline TSL2 dumps, simctl time must read them back, and — the
 # stronger claim — sampling must be trajectory-neutral: every other
 # artifact of a sampled run must byte-match the unsampled runs above.
 for i in 1 2; do
@@ -224,6 +224,15 @@ target/release/simctl time query "$metrics_dir/tl-f14.bin" \
 target/release/simctl time plot "$metrics_dir/tl-f14.bin" \
   base.tcp.flow0.cwnd_segments > /dev/null \
   || { echo "simctl time plot failed on the fig14 cwnd series"; exit 1; }
+# A zero --bucket is a usage error (exit 2), never a panic, and the
+# dump is the raw-only TSL2 format.
+status=0
+target/release/simctl time query "$metrics_dir/tl-f14.bin" \
+  base.tcp.flow0.cwnd_segments --bucket 0 > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] \
+  || { echo "simctl time query --bucket 0 exited $status, want 2"; exit 1; }
+target/release/simctl time summary "$metrics_dir/tl-f14.bin" | grep -q "^TSL2 timeline: " \
+  || { echo "simctl time summary printed no TSL2 header for the fig14 dump"; exit 1; }
 
 echo "=== perf merge determinism ==="
 # scripts/merge_perf.sh is the only writer of BENCH_simperf.json and

@@ -180,7 +180,7 @@ fn fig15_artifacts_match_goldens() {
 /// timeline ticks), and the timeline is sampled at the binary's default
 /// 100 ms: the metrics/trace/health pins are the same bytes the
 /// unsampled binary writes, so they double as the timeline's
-/// trajectory-neutrality proof, and `fig19.timeline` pins the TSL1
+/// trajectory-neutrality proof, and `fig19.timeline` pins the TSL2
 /// dump itself.
 #[test]
 fn fig19_artifacts_match_goldens() {
